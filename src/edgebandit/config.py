@@ -109,8 +109,8 @@ class SimConfig:
             errs.append("num_servers must satisfy 1 <= M <= N")
         if self.horizon < 1:
             errs.append("horizon must be >= 1")
-        if not 0.0 < self.discount <= 1.0:
-            errs.append("discount must lie in (0, 1]")
+        if not 0.0 < self.discount < 1.0:
+            errs.append("discount must lie in (0, 1)")
         if self.penalty not in ("experiment", "theory"):
             errs.append(f"unknown penalty preset {self.penalty!r}")
         if self.penalty_alpha < 0:

@@ -615,14 +615,17 @@ def run_experiment(
     metadata: dict = {"seeds": list(seeds), "tail_bound": {}}
     bounds: dict = {}
 
-    tasks = [(cell, s) for cell in cells for s in seeds]
+    tasks = [(i, cell, s) for i, cell in enumerate(cells) for s in seeds]
     if jobs > 1:
         with Pool(jobs) as pool:
-            outcomes = pool.map(_episode_task, [(c.config, s) for c, s in tasks])
+            outcomes = pool.map(_episode_task, [(c.config, s) for _, c, s in tasks])
     else:
-        outcomes = [_episode_task((cell.config, s)) for cell, s in tasks]
+        outcomes = [_episode_task((cell.config, s)) for _, cell, s in tasks]
 
-    for (cell, s), outcome in zip(tasks, outcomes):
+    # records are matched to their cell by index: cells may share every
+    # field a record carries (policy, N, M, alpha) and differ elsewhere
+    per_cell: list[list[RunRecord]] = [[] for _ in cells]
+    for (i, cell, s), outcome in zip(tasks, outcomes):
         if isinstance(outcome, Exception):
             failures.append((cell.name, s, f"{type(outcome).__name__}: {outcome}"))
             continue
@@ -636,12 +639,12 @@ def run_experiment(
                 bounds[key] = compute_relaxed_bound(cell.config, s)
             record = dataclasses.replace(record, relaxed_bound=bounds[key])
         records.append(record)
+        per_cell[i].append(record)
         prev = metadata["tail_bound"].get(cell.name, 0.0)
         metadata["tail_bound"][cell.name] = max(prev, info.reward_tail_bound)
 
     summaries = []
-    for cell in cells:
-        cell_records = [r for r in records if _cell_of(r, cell)]
+    for cell, cell_records in zip(cells, per_cell):
         if not cell_records:
             continue
         rm, rc = _mean_ci([r.discounted_reward for r in cell_records])
@@ -660,16 +663,6 @@ def run_experiment(
             )
         )
     return ExperimentResult(records=records, summaries=summaries, failures=failures, metadata=metadata)
-
-
-def _cell_of(record: RunRecord, cell: ExperimentCell) -> bool:
-    cfg = cell.config
-    return (
-        record.policy == cfg.policy_label()
-        and record.num_users == cfg.num_users
-        and record.num_servers == cfg.num_servers
-        and record.alpha == cfg.penalty_alpha
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "IndexabilityReport",
     "indexability_check",
     "ArmChain",
-    "arm_chain_value",
     "arm_chain_value_reference",
     "relaxed_upper_bound",
 ]
@@ -484,112 +483,92 @@ def _level_means(
     esav: np.ndarray,  # (A, E) stacked saving samples, one row per arm
     capacity: int,
     penalty: PenaltyFn,
-    size_probs: np.ndarray,  # (D, B) size distribution conditional on duration
-    deltas: np.ndarray,  # (D,) subsidies evaluated in one batch
+    size_probs: np.ndarray,  # (L, B) size distribution conditional on duration
+    delta: float,
     beta: float,
     with_deadline: bool,
     force_active: bool = False,
 ) -> np.ndarray:
-    """Expected within-task values at arrival, one column per task length.
+    """Arm-summed expected within-task values at arrival and their
+    derivatives in the subsidy, one column per task length.
 
-    Backward induction with zero terminal continuation, vectorized over a
-    batch of subsidies and a group of arms sharing everything but their
-    saving samples.  With ``with_deadline`` the first level charges the
-    non-completion penalty; without it the task is cut off by the horizon
-    before its deadline.  Returns shape (D, A, L):
-    out[j, a, d-1] = E_{B|d, e}[value of a d-level task] at deltas[j].
+    Backward induction with zero terminal continuation at one subsidy, over
+    a group of arms sharing everything but their saving samples.  With
+    ``with_deadline`` the first level charges the non-completion penalty;
+    without it the task is cut off by the horizon before its deadline.
+    Returns shape (2, L): out[0, d-1] = sum_a E_{B|d, e}[value of a d-level
+    task] and out[1, d-1] its derivative, the expected discounted number of
+    passive slots under the actions the induction picks (passive on ties).
+    Each value is a max of functions affine in the subsidy, so the
+    derivative is a subgradient at a kink.
     """
     n_levels, b_max = size_probs.shape
-    d = np.asarray(deltas, dtype=np.float64)[:, None, None, None]  # (D, 1, 1, 1)
-    n_d = d.shape[0]
-    e = np.asarray(esav, dtype=np.float64)[None, :, :, None]  # (1, A, E, 1)
-    n_a, n_e = e.shape[1], e.shape[2]
+    # backlog leads, so the passive and active successors are row gathers
+    e = np.asarray(esav, dtype=np.float64).reshape(1, -1)  # (1, A*E)
+    shape = (b_max + 1, e.shape[1])
     fpen = penalty.table(b_max)
     b = np.arange(b_max + 1)
-    has_work = b > 0
+    has_work = (b > 0)[:, None]
     idx_passive = np.maximum(b - 1, 0)
     idx_active = np.maximum(b - capacity, 0)
 
-    out = np.zeros((n_d, n_a, n_levels))
-    v = np.zeros((n_d, n_a, n_e, b_max + 1))
+    e_work = np.where(has_work, e, 0.0)
+    out = np.zeros((2, n_levels))
+    v = np.zeros(shape)
+    dv = np.zeros(shape)
     for level in range(1, n_levels + 1):
         if with_deadline and level == 1:
-            q0 = d - np.where(has_work, fpen[idx_passive], 0.0)
-            q0 = np.broadcast_to(q0, v.shape)
-            q1 = np.where(has_work, e - fpen[idx_active], 0.0)
-            q1 = np.broadcast_to(q1, v.shape)
+            q0 = delta - np.where(has_work, fpen[idx_passive, None], 0.0)
+            q1 = e_work - np.where(has_work, fpen[idx_active, None], 0.0)
+            dq0, dq1 = 1.0, 0.0
         else:
-            q0 = d + beta * v[:, :, :, idx_passive]
-            q1 = np.where(has_work, e, 0.0) + beta * v[:, :, :, idx_active]
-        v = q1 if force_active else np.maximum(q0, q1)
-        out[:, :, level - 1] = (v[:, :, :, 1:] @ size_probs[level - 1]).mean(axis=2)
-    return out
-
-
-def arm_chain_value(
-    chain: ArmChain, delta: float, beta: float, force_active: bool = False
-) -> float:
-    """Infinite-horizon value of the subsidized arm from the empty start.
-
-    Solves the renewal fixed point exactly: episode values are affine in
-    the post-task continuation (the deadline countdown is deterministic),
-    so the recurrent chain reduces to one linear equation.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("bound requires discount in (0, 1)")
-    q = chain.arrival_prob
-    gbar = _level_means(
-        chain.esav_values[None, :], chain.capacity, chain.penalty, chain.size_probs,
-        np.array([delta]), beta, with_deadline=True, force_active=force_active,
-    )[0, 0]
-    abar = float(gbar @ chain.duration_probs)
-    phi = float(np.sum(chain.duration_probs * beta ** np.arange(1, len(gbar) + 1)))
-    idle_gain = 0.0 if force_active else max(delta, 0.0)
-    denom = 1.0 - (1.0 - q) * beta - q * phi
-    cont = ((1.0 - q) * idle_gain + q * abar) / denom
-    return idle_gain + beta * cont
+            q0 = delta + beta * v[idx_passive]
+            q1 = e_work + beta * v[idx_active]
+            dq0 = 1.0 + beta * dv[idx_passive]
+            dq1 = beta * dv[idx_active]
+        passive = np.zeros(shape, dtype=bool) if force_active else q0 >= q1
+        v = np.where(passive, q0, q1)
+        dv = np.where(passive, dq0, dq1)
+        out[0, level - 1] = size_probs[level - 1] @ v[1:].sum(axis=1)
+        out[1, level - 1] = size_probs[level - 1] @ dv[1:].sum(axis=1)
+    return out / esav.shape[1]
 
 
 def _finite_chain_values(
-    gbar: np.ndarray,  # (D, A, L) deadline-inside task values at arrival
-    hbar: np.ndarray,  # (D, A, L) horizon-truncated task values at arrival
+    gbar: np.ndarray,  # (R, L) deadline-inside task values at arrival
+    hbar: np.ndarray,  # (R, L) horizon-truncated task values at arrival
+    idle_gain: np.ndarray,  # (R,)
     dur_probs: np.ndarray,
     arrival_prob: float,
-    deltas: np.ndarray,  # (D,)
     beta: float,
     horizon: int,
-    force_active: bool,
 ) -> np.ndarray:
-    """Exact T-slot values from the empty start, shape (D, A).
+    """Exact T-slot values from the empty start, shape (R,).
 
     C(r) is the value entering a slot with r reward slots left in the
     arrival-mixture state; tasks longer than the remaining horizon never
-    reach their deadline and use the truncated tables.
+    reach their deadline and use the truncated tables.  The value is linear
+    in (idle gain, gbar, hbar), so each row may hold a sum over arms or a
+    derivative.
     """
-    n_d, n_a, n_levels = gbar.shape
+    n_levels = gbar.shape[1]
     q = arrival_prob
-    if force_active:
-        idle_gain = np.zeros((n_d, 1))
-    else:
-        idle_gain = np.maximum(np.asarray(deltas, dtype=np.float64), 0.0)[:, None]
     beta_pow = beta ** np.arange(n_levels + 1)
     tail_prob = np.concatenate([np.cumsum(dur_probs[::-1])[::-1], [0.0]])  # P(dur >= d)
     weights = dur_probs * beta_pow[1:]  # admission-discounted duration weights
-    gsum_full = gbar @ dur_probs  # (D, A): arrival value with zero continuation
-    gsum_part = np.cumsum(gbar * dur_probs[None, None, :], axis=2)  # partial sums
+    gsum_full = gbar @ dur_probs  # (R,): arrival value with zero continuation
+    gsum_part = np.cumsum(gbar * dur_probs, axis=1)  # partial sums
 
-    c_hist = np.zeros((horizon, n_d, n_a))  # c_hist[r] = C(r)
+    c_hist = np.zeros((horizon, gbar.shape[0]))  # c_hist[r] = C(r)
     for r in range(1, horizon):
         idle_value = idle_gain + beta * c_hist[r - 1]
         if r >= n_levels:
             window = c_hist[r - n_levels : r][::-1]  # C(r-1) .. C(r-n_levels)
-            task_value = gsum_full + np.tensordot(weights, window, axes=(0, 0))
+            task_value = gsum_full + weights @ window
         else:
             window = c_hist[:r][::-1]
-            task_value = gsum_part[:, :, r - 1] + np.tensordot(
-                weights[:r], window, axes=(0, 0)
-            )
-            task_value = task_value + tail_prob[r] * hbar[:, :, r - 1]
+            task_value = gsum_part[:, r - 1] + weights[:r] @ window
+            task_value = task_value + tail_prob[r] * hbar[:, r - 1]
         c_hist[r] = (1.0 - q) * idle_value + q * task_value
     return idle_gain + beta * c_hist[horizon - 1]
 
@@ -645,63 +624,79 @@ def arm_chain_value_reference(
     raise RuntimeError(f"value iteration did not converge below {tol}")
 
 
-def _chain_values(
+def _chain_terms(
     arms: Sequence[ArmChain],
-    deltas,
+    delta: float,
     beta: float,
     horizon: Optional[int],
     force_active: bool = False,
-):
-    """Per-subsidy sums of per-arm values.
+) -> np.ndarray:
+    """Sum over arms of the value at subsidy ``delta`` and its derivative,
+    as ``array([value, derivative])``.
 
-    Batches both the subsidy axis and groups of arms that differ only in
-    their saving samples; accepts a scalar subsidy or a vector and returns
-    the matching shape.
+    Arms that differ only in their saving samples share one induction.
+    The renewal (``horizon=None``) and finite-horizon values are linear in
+    (idle gain, task values), with coefficients set by the arrival law, so
+    arms sharing the arrival law are summed before the horizon recursion
+    and derivatives go through the same map as values.
     """
-    scalar = np.isscalar(deltas)
-    dvec = np.atleast_1d(np.asarray(deltas, dtype=np.float64))
+    if force_active:
+        idle_gain = np.zeros(2)
+    else:
+        idle_gain = np.array([max(delta, 0.0), 1.0 if delta > 0.0 else 0.0])
     groups: dict = {}
-    for idx, a in enumerate(arms):
+    for a in arms:
         key = (
-            a.capacity,
-            a.penalty,
             a.arrival_prob,
             a.duration_probs.tobytes(),
+            a.capacity,
+            a.penalty,
             a.size_probs.tobytes(),
             len(a.esav_values),
         )
-        groups.setdefault(key, []).append(idx)
+        groups.setdefault(key, []).append(a)
 
-    total = np.zeros(dvec.size)
-    for members in groups.values():
-        proto = arms[members[0]]
-        esav = np.stack([arms[i].esav_values for i in members])
-        gbar = _level_means(
+    laws: dict = {}  # arrival law -> [prototype arm, arms, gbar sum, hbar sum]
+    for key, members in groups.items():
+        proto = members[0]
+        esav = np.stack([a.esav_values for a in members])
+        law = laws.setdefault(key[:2], [proto, 0, 0.0, 0.0])
+        law[1] += len(members)
+        law[2] = law[2] + _level_means(
             esav, proto.capacity, proto.penalty, proto.size_probs,
-            dvec, beta, with_deadline=True, force_active=force_active,
+            delta, beta, with_deadline=True, force_active=force_active,
         )
-        q = proto.arrival_prob
-        if horizon is None:
-            abar = gbar @ proto.duration_probs  # (D, A)
-            phi = float(
-                np.sum(proto.duration_probs * beta ** np.arange(1, gbar.shape[2] + 1))
-            )
-            if force_active:
-                idle_gain = np.zeros((dvec.size, 1))
-            else:
-                idle_gain = np.maximum(dvec, 0.0)[:, None]
-            denom = 1.0 - (1.0 - q) * beta - q * phi
-            cont = ((1.0 - q) * idle_gain + q * abar) / denom
-            total += (idle_gain + beta * cont).sum(axis=1)
-        else:
-            hbar = _level_means(
+        if horizon is not None:
+            law[3] = law[3] + _level_means(
                 esav, proto.capacity, proto.penalty, proto.size_probs,
-                dvec, beta, with_deadline=False, force_active=force_active,
+                delta, beta, with_deadline=False, force_active=force_active,
             )
-            total += _finite_chain_values(
-                gbar, hbar, proto.duration_probs, q, dvec, beta, horizon, force_active
-            ).sum(axis=1)
-    return float(total[0]) if scalar else total
+
+    total = np.zeros(2)
+    for proto, n_arms, gbar, hbar in laws.values():
+        q, dur = proto.arrival_prob, proto.duration_probs
+        idle = n_arms * idle_gain
+        if horizon is None:
+            phi = float(dur @ beta ** np.arange(1, len(dur) + 1))
+            denom = 1.0 - (1.0 - q) * beta - q * phi
+            cont = ((1.0 - q) * idle + q * (gbar @ dur)) / denom
+            total += idle + beta * cont
+        else:
+            total += _finite_chain_values(gbar, hbar, idle, dur, q, beta, horizon)
+    return total
+
+
+def _chain_values(
+    arms: Sequence[ArmChain],
+    delta: float,
+    beta: float,
+    horizon: Optional[int],
+    force_active: bool = False,
+) -> float:
+    """Sum over arms of the subsidized value from the empty start: the
+    exact renewal fixed point with ``horizon=None``, else the exact
+    ``horizon``-slot value."""
+    return float(_chain_terms(arms, delta, beta, horizon, force_active)[0])
 
 
 def relaxed_upper_bound(
@@ -710,20 +705,27 @@ def relaxed_upper_bound(
     discount: float,
     horizon: Optional[int] = None,
     literal_penalty: bool = False,
-    grid_points: int = 33,
     refine_tol: float = 1e-6,
 ) -> float:
     """Upper bound on any feasible policy's expected discounted reward.
 
-    Minimizes ``sum_i V_i(delta) - delta * (N - M) * S`` over the subsidy,
-    where S is the discounted horizon length (``1/(1-beta)`` or its
-    ``horizon``-slot truncation), with a coarse grid followed by
-    golden-section refinement; the objective is convex (a pointwise max of
-    affine functions minus an affine term).  With ``horizon`` set, the
-    value functions account for episode truncation exactly, so the bound
-    dominates finite-run rewards even when per-slot rewards are negative.
-    ``literal_penalty`` drops the discounted-horizon factor from the
-    subsidy term.
+    Minimizes the dual ``g(delta) = sum_i V_i(delta) - delta * (N - M) * S``
+    over the subsidy, where S is the discounted horizon length
+    (``1/(1-beta)`` or its ``horizon``-slot truncation).  g is convex and
+    piecewise linear (a sum of maxima of affine functions minus an affine
+    term), and the value induction also returns a subgradient: the
+    expected discounted passive time summed over arms, minus the slope.  A
+    bisection on the sign of that subgradient, started from a bracket
+    where every arm is always active (subgradient ``-slope``) or always
+    passive (``M * S >= 0``), stops once the bracket is within
+    ``refine_tol`` relative or the subgradient is 0.  One last evaluation
+    where the tangents at the bracket's ends meet lands on the minimizing
+    kink when the bracket holds only one.  The least g evaluated is
+    returned; by weak duality every g(delta) is an upper bound, whatever
+    the search accuracy.  With ``horizon`` set, the value functions account
+    for episode truncation exactly, so the bound dominates finite-run
+    rewards even when per-slot rewards are negative.  ``literal_penalty``
+    drops the discounted-horizon factor from the subsidy term.
     """
     n = len(arms)
     if n == 0:
@@ -747,17 +749,30 @@ def relaxed_upper_bound(
         2.0 * (a.penalty(a.size_probs.shape[1]) + float(np.max(np.abs(a.esav_values)))) + 1.0
         for a in arms
     )
-    # staged batched grids: each pass zooms into the cell around the
-    # minimizer, which always brackets the true minimum by convexity; the
-    # value converges quadratically in the cell width
-    lo, hi = -width, width
+
+    def dual(delta: float) -> tuple[float, float]:
+        value, passive_time = _chain_terms(arms, delta, discount, horizon)
+        return float(value) - slope * delta, float(passive_time) - slope
+
+    left, right = -width, width
+    lo = hi = None  # (delta, g, g') at the bracket ends once evaluated
     best = math.inf
     while True:
-        grid = np.linspace(lo, hi, grid_points)
-        vals = _chain_values(arms, grid, discount, horizon) - grid * slope
-        i = int(np.argmin(vals))
-        best = min(best, float(vals[i]))
-        if hi - lo <= refine_tol * (1.0 + abs(grid[i])):
+        delta = 0.5 * (left + right)
+        g, grad = dual(delta)
+        best = min(best, g)
+        if grad == 0.0:
             return best
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid_points - 1)]
+        if grad > 0.0:
+            right, hi = delta, (delta, g, grad)
+        else:
+            left, lo = delta, (delta, g, grad)
+        if right - left <= refine_tol * (1.0 + abs(delta)):
+            break
+    if lo is not None and hi is not None:
+        # g is piecewise linear: with one kink left in the bracket, the
+        # tangents at its ends meet exactly there
+        (d0, g0, s0), (d1, g1, s1) = lo, hi
+        kink = (g1 - g0 + s0 * d0 - s1 * d1) / (s0 - s1)
+        best = min(best, dual(min(max(kink, d0), d1))[0])
+    return best

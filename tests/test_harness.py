@@ -59,6 +59,13 @@ class TestScenario:
         msg = str(err.value)
         assert "num_servers" in msg and "discount" in msg and "policy" in msg
 
+    def test_discount_one_rejected(self):
+        # the index's saving shift and the bound both need discount < 1
+        assert "discount must lie in (0, 1)" in cfg(discount=1.0).validation_errors()
+        with pytest.raises(ConfigError, match="discount"):
+            build_scenario(cfg(discount=1.0), 0)
+        assert cfg(discount=0.999).validation_errors() == []
+
     def test_slot_length_violation_is_config_error(self):
         with pytest.raises(ConfigError, match="transmit time"):
             build_scenario(cfg(slot_length=1e-6), 0)
@@ -173,6 +180,21 @@ class TestRunExperiment:
         assert len(result.records) == 6
         assert {s.cell for s in result.summaries} == {"wi", "edf"}
         assert result.ok
+
+    def test_cells_differing_only_in_arrivals_stay_apart(self):
+        # the records of these cells carry identical (policy, N, M, alpha)
+        base = preset_cells("fig6", policy_filter="wi")[0]
+        cells = [
+            ExperimentCell(name=f"{base.name}-q{q}", config=dataclasses.replace(base.config, arrival_prob=q))
+            for q in (base.config.arrival_prob, base.config.arrival_prob / 2)
+        ]
+        result = run_experiment(cells, seeds=[0, 1])
+        assert [s.cell for s in result.summaries] == [c.name for c in cells]
+        assert [s.n_runs for s in result.summaries] == [2, 2]
+        for cell, summary in zip(cells, result.summaries):
+            rewards = [run_episode(cell.config, seed).discounted_reward for seed in (0, 1)]
+            assert summary.reward_mean == pytest.approx(np.mean(rewards), rel=1e-12)
+        assert result.summaries[0].reward_mean != result.summaries[1].reward_mean
 
     def test_failures_isolated_per_cell(self):
         bad = ExperimentCell(name="bad", config=dataclasses.replace(cfg(), num_servers=50))

@@ -6,16 +6,20 @@ never evaluates the index and the index never calls the oracle, so grid
 agreement between the two is a real check, not a tautology.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgebandit.dynamics import PenaltyFn, TaskState
 from edgebandit.whittle import (
     ArmChain,
     IndexInput,
     SubsidizedArmMDP,
-    arm_chain_value,
     arm_chain_value_reference,
+    _chain_terms,
     _chain_values,
     indexability_check,
     relaxed_upper_bound,
@@ -265,17 +269,54 @@ def small_chain(q=0.6, k=2):
     )
 
 
+@st.composite
+def random_chains(draw):
+    """A small random arm chain: up to 4 task lengths, 6 sizes, 3 savings."""
+    n_levels = draw(st.integers(1, 4))
+    b_max = draw(st.integers(1, 6))
+    weight = st.floats(0.01, 1.0)
+    size = np.array(draw(st.lists(weight, min_size=n_levels * b_max, max_size=n_levels * b_max)))
+    size = size.reshape(n_levels, b_max)
+    dur = np.array(draw(st.lists(weight, min_size=n_levels, max_size=n_levels)))
+    return ArmChain(
+        capacity=draw(st.integers(1, 3)),
+        penalty=PenaltyFn.experiment(draw(st.floats(0.0, 2.0))),
+        arrival_prob=draw(st.floats(0.0, 1.0)),
+        duration_probs=dur / dur.sum(),
+        size_probs=size / size.sum(axis=1, keepdims=True),
+        esav_values=np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))),
+    )
+
+
 class TestArmChainValue:
+    @given(
+        random_chains(),
+        st.floats(-4.0, 4.0),
+        st.floats(0.5, 0.98),
+        st.sampled_from([None, 1, 3, 25]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_derivative_between_one_sided_differences(self, chain, delta, beta, horizon):
+        # the value is convex in the subsidy, so any subgradient lies between
+        # the one-sided difference quotients
+        h = 1e-4
+        value, derivative = _chain_terms([chain], delta, beta, horizon)
+        assert value == _chain_values([chain], delta, beta, horizon)
+        left = (value - _chain_values([chain], delta - h, beta, horizon)) / h
+        right = (_chain_values([chain], delta + h, beta, horizon) - value) / h
+        slack = 1e-6 * (1.0 + abs(left) + abs(right))
+        assert left - slack <= derivative <= right + slack
+
     @pytest.mark.parametrize("delta", [-2.0, -0.3, 0.0, 0.7, 3.0])
     def test_renewal_matches_value_iteration(self, delta):
         chain = small_chain()
-        exact = arm_chain_value(chain, delta, 0.95)
+        exact = _chain_values([chain], delta, 0.95, None)
         reference = arm_chain_value_reference(chain, delta, 0.95)
         assert exact == pytest.approx(reference, abs=5e-8)
 
     def test_finite_horizon_converges_to_renewal(self):
         chain = small_chain()
-        inf_val = arm_chain_value(chain, 0.7, 0.95)
+        inf_val = _chain_values([chain], 0.7, 0.95, None)
         vals = [_chain_values([chain], 0.7, 0.95, t) for t in (50, 400, 3200)]
         errs = [abs(v - inf_val) for v in vals]
         assert errs[0] > errs[1] > errs[2]
@@ -284,15 +325,15 @@ class TestArmChainValue:
     def test_idle_forever_with_no_arrivals(self):
         chain = small_chain(q=0.0)
         # never any task: value is max(delta, 0) per slot, discounted
-        assert arm_chain_value(chain, 0.4, 0.9) == pytest.approx(0.4 / 0.1, rel=1e-9)
-        assert arm_chain_value(chain, -0.4, 0.9) == pytest.approx(0.0, abs=1e-12)
+        assert _chain_values([chain], 0.4, 0.9, None) == pytest.approx(0.4 / 0.1, rel=1e-9)
+        assert _chain_values([chain], -0.4, 0.9, None) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRelaxedBound:
     def test_all_servers_forces_active_value(self):
         chains = [small_chain(), small_chain(k=3)]
         bound = relaxed_upper_bound(chains, num_servers=2, discount=0.95)
-        forced = sum(arm_chain_value(c, 0.0, 0.95, force_active=True) for c in chains)
+        forced = sum(_chain_values([c], 0.0, 0.95, None, force_active=True) for c in chains)
         assert bound == pytest.approx(forced, rel=1e-12)
 
     def test_single_idle_arm_no_server(self):
@@ -300,16 +341,38 @@ class TestRelaxedBound:
         bound = relaxed_upper_bound([small_chain(q=0.0)], num_servers=0, discount=0.9)
         assert bound == pytest.approx(0.0, abs=1e-6)
 
-    def test_grid_resolution_invariance(self):
-        chains = [small_chain(), small_chain(k=3)]
-        a = relaxed_upper_bound(chains, 1, 0.95, grid_points=17)
-        b = relaxed_upper_bound(chains, 1, 0.95, grid_points=129)
-        assert a == pytest.approx(b, rel=1e-4)
+    @pytest.mark.parametrize("horizon", [None, 40])
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_matches_dense_grid_minimum(self, horizon, loaded):
+        # unloaded: the dual's minimizer is the idle kink at 0; loaded (every
+        # slot brings work worth serving): an interior kink near 1.7
+        if loaded:
+            chains = [
+                dataclasses.replace(small_chain(q=q, k=k), esav_values=np.array([0.4, 1.1, 2.0]))
+                for q, k in ((1.0, 1), (1.0, 2), (0.8, 1), (1.0, 3))
+            ]
+        else:
+            chains = [small_chain(), small_chain(k=3)]
+        beta = 0.95
+        bound = relaxed_upper_bound(chains, 1, beta, horizon=horizon)
+        discounted_slots = (1.0 if horizon is None else 1.0 - beta**horizon) / (1.0 - beta)
+        slope = (len(chains) - 1) * discounted_slots
+
+        def dual(grid):
+            return np.array([_chain_values(chains, d, beta, horizon) for d in grid]) - slope * grid
+
+        coarse = np.linspace(-10.0, 10.0, 401)
+        i = int(np.argmin(dual(coarse)))
+        assert 0 < i < coarse.size - 1  # the minimizer lies inside the coarse grid
+        grid_min = float(dual(np.linspace(coarse[i - 1], coarse[i + 1], 2001)).min())
+        assert bound == pytest.approx(grid_min, rel=1e-6)
+        # not above the grid minimum, up to the rounding of the grid points
+        assert bound <= grid_min + 1e-12 * abs(grid_min)
 
     def test_dominates_passive_and_active_static_policies(self):
         chains = [small_chain(), small_chain(k=3), small_chain(q=0.3)]
         bound = relaxed_upper_bound(chains, 1, 0.95)
-        always_active = sum(arm_chain_value(c, 0.0, 0.95, force_active=True) for c in chains)
+        always_active = sum(_chain_values([c], 0.0, 0.95, None, force_active=True) for c in chains)
         assert bound >= always_active - 1e-9
 
     def test_bad_discount_rejected(self):
