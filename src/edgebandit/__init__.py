@@ -19,7 +19,7 @@ from .harness import (
     run_episode,
     run_experiment,
 )
-from .learning import NIGParams, PriorSpec, mh_estimate, mle_estimate, nig_sample, nig_update
+from .learning import NIGParams, PriorSpec, nig_posterior, nig_sample
 from .mec import ChannelEnvironment, EnergyFigures, UserProfile
 from .policies import PolicyKind, build_stlw_dag, kahn_topo_sort, select
 from .whittle import (

@@ -98,14 +98,17 @@ def _cmd_verify_index(args: argparse.Namespace) -> int:
     penalty = (
         PenaltyFn.experiment(args.alpha) if args.penalty == "experiment" else PenaltyFn.theory(args.alpha)
     )
-    mdp = SubsidizedArmMDP(
-        horizon=args.tau_max,
-        max_backlog=args.b_max,
-        capacity=args.capacity,
-        discount=args.discount,
-        penalty=penalty,
-        e_saving=args.e_saving,
-    )
+    try:
+        mdp = SubsidizedArmMDP(
+            horizon=args.tau_max,
+            max_backlog=args.b_max,
+            capacity=args.capacity,
+            discount=args.discount,
+            penalty=penalty,
+            e_saving=args.e_saving,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     oracle = subsidy_threshold_table(mdp)
     taus, bs = np.nonzero(~np.isnan(oracle))
     closed = whittle_index_array(

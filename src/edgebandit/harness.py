@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import mec
 from .config import ConfigError, ExperimentCell, SimConfig
@@ -32,8 +33,6 @@ from .learning import (
     PriorSpec,
     PriorSwapWhittleEstimator,
     observe,
-    _invgamma_logpdf,
-    _normal_logpdf,
 )
 from .policies import PolicyKind, UserKeys, select
 from .whittle import ArmChain, relaxed_upper_bound, whittle_index_array
@@ -230,54 +229,76 @@ class _SavingDraws:
 
 
 class _PsblBatch:
-    """Advances all users' prior-swapping MH chains in lockstep.
+    """The Metropolis-Hastings kernel of the prior-swapping learner.
 
-    Chains are independent across users, so one vectorized sweep per slot
-    is exact; proposals come from the shared policy stream.
+    Advances every user's chain in lockstep, reading and writing the
+    learner's arrays.  Chains are independent across users, so one
+    vectorised sweep per slot is exact; proposals come from the shared
+    policy stream.  Steps are independent Gaussians on (saving, log
+    variance), a symmetric proposal, so the acceptance ratio is the target
+    ratio alone, with the log-variance Jacobian folded into the target.
+    Rejection keeps the previous state.
     """
 
-    def __init__(self, estimators: list[PriorSwapWhittleEstimator], cfg: SimConfig):
-        self.estimators = estimators
-        self.cfg = cfg
-        self.true_prior = _true_prior_spec(cfg)
-        fp = estimators[0].false_prior
-        self.fp_lam, self.fp_mu = fp.lam, fp.mu
+    def __init__(self, learner: PriorSwapWhittleEstimator):
+        self.learner = learner
 
-    def _target(self, sav, logvar, lam, mu, phi, nu):
-        var = np.exp(logvar)
-        dens = _normal_logpdf(sav, mu, var / lam) + _invgamma_logpdf(var, nu, phi)
-        dens += self.true_prior.logpdf(sav)
-        dens -= _normal_logpdf(sav, self.fp_mu, var / self.fp_lam)
-        return dens + logvar  # log-variance Jacobian
+    def _target(self, lam, mu, phi, nu):
+        """Log target at (saving, log variance): the swapped density, whose
+        shared inverse-gamma variance prior cancels, plus the Jacobian.  The
+        posterior is fixed within a slot, so its constants are folded once."""
+        fp = self.learner.false_prior
+        const = 0.5 * (np.log(lam) - math.log(fp.lam)) + nu * np.log(phi) - gammaln(nu)
+        true_logpdf = self.learner.true_prior.logpdf
+
+        def target(sav, logvar):
+            scale = 0.5 * lam * (sav - mu) ** 2 + phi - 0.5 * fp.lam * (sav - fp.mu) ** 2
+            return const - nu * logvar - scale * np.exp(-logvar) + true_logpdf(sav)
+
+        return target
 
     def refresh(self, rng: np.random.Generator) -> np.ndarray:
-        ests = self.estimators
-        n = len(ests)
-        lam = np.array([e.posterior.lam for e in ests])
-        mu = np.array([e.posterior.mu for e in ests])
-        phi = np.array([e.posterior.phi for e in ests])
-        nu = np.array([e.posterior.nu for e in ests])
-        sav = np.array([e.theta[0] for e in ests])
-        logvar = np.log(np.array([e.theta[1] for e in ests]))
-        s_sav = self.cfg.mh_proposal_factor * np.sqrt(phi / (lam * nu))
-        s_lv = self.cfg.mh_proposal_factor / np.sqrt(nu)
+        ps = self.learner
+        lam, mu, phi, nu = ps.posterior()
+        target = self._target(lam, mu, phi, nu)
+        n = lam.size
+        sav, logvar = ps.chain_saving, ps.chain_logvar
+        s_sav = ps.proposal_factor * np.sqrt(phi / (lam * nu))
+        s_lv = ps.proposal_factor / np.sqrt(nu)
 
-        cur = self._target(sav, logvar, lam, mu, phi, nu)
+        cur = target(sav, logvar)
         total = np.zeros(n)
-        steps = self.cfg.mh_burn_in + self.cfg.mh_samples
-        for step in range(steps):
+        for step in range(ps.burn_in + ps.chain_len):
             prop_sav = sav + s_sav * rng.standard_normal(n)
             prop_lv = logvar + s_lv * rng.standard_normal(n)
-            cand = self._target(prop_sav, prop_lv, lam, mu, phi, nu)
+            cand = target(prop_sav, prop_lv)
             accept = np.log(rng.random(n)) < cand - cur
             sav = np.where(accept, prop_sav, sav)
             logvar = np.where(accept, prop_lv, logvar)
             cur = np.where(accept, cand, cur)
-            if step >= self.cfg.mh_burn_in:
+            if step >= ps.burn_in:
                 total += sav
-        for i, e in enumerate(ests):
-            e.theta = (float(sav[i]), float(math.exp(logvar[i])))
-        return total / self.cfg.mh_samples
+        ps.chain_saving, ps.chain_logvar = sav, logvar
+        ps.chain_mean = total / ps.chain_len
+        return ps.chain_mean
+
+
+def _learner(cfg: SimConfig, n: int):
+    """The episode's learner over all n users, or None for known savings."""
+    if cfg.estimator == "mle":
+        return MleWhittleEstimator(n)
+    if cfg.estimator == "bl":
+        return BayesWhittleEstimator(n, variant=cfg.nig_variant, mode=cfg.bl_estimate)
+    if cfg.estimator == "psbl":
+        return PriorSwapWhittleEstimator(
+            n,
+            true_prior=_true_prior_spec(cfg),
+            chain_len=cfg.mh_samples,
+            burn_in=cfg.mh_burn_in,
+            proposal_factor=cfg.mh_proposal_factor,
+            variant=cfg.nig_variant,
+        )
+    return None
 
 
 def _penalty_values(penalty: PenaltyFn, x: np.ndarray) -> np.ndarray:
@@ -299,26 +320,8 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     gens = [_task_generator(cfg, int(caps[i])) for i in range(n)]
     savings = _SavingDraws(cfg, scn, fading_rngs)
 
-    estimators: Optional[list] = None
-    psbl: Optional[_PsblBatch] = None
-    if cfg.estimator == "mle":
-        estimators = [MleWhittleEstimator() for _ in range(n)]
-    elif cfg.estimator == "bl":
-        estimators = [
-            BayesWhittleEstimator(variant=cfg.nig_variant, mode=cfg.bl_estimate)
-            for _ in range(n)
-        ]
-    elif cfg.estimator == "psbl":
-        estimators = [
-            PriorSwapWhittleEstimator(
-                true_prior=_true_prior_spec(cfg),
-                chain_len=cfg.mh_samples,
-                proposal_factor=cfg.mh_proposal_factor,
-                variant=cfg.nig_variant,
-            )
-            for _ in range(n)
-        ]
-        psbl = _PsblBatch(estimators, cfg)
+    learner = _learner(cfg, n)
+    psbl = _PsblBatch(learner) if cfg.estimator == "psbl" else None
 
     tau = np.zeros(n, dtype=np.int64)
     backlog = np.zeros(n, dtype=np.int64)
@@ -334,23 +337,21 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     max_abs_slot_reward = 0.0
     need_slack = kind in (PolicyKind.LST, PolicyKind.STLW_WI)
     trace_lines: Optional[list[str]] = None
-    if cfg.estimate_trace_path and estimators is not None:
+    if cfg.estimate_trace_path and learner is not None:
         trace_lines = ["slot,user,estimate,true_saving"]
 
     for t in range(horizon):
         if cfg.fading_period_slots > 0 and t > 0 and t % cfg.fading_period_slots == 0:
             esav_true = np.array([savings.draw(i) for i in range(n)])
-            if estimators is not None:
-                for e in estimators:
-                    e.reset()
+            if learner is not None:
+                learner.reset()
 
         active = tau > 0
         esav_ranking = np.where(active, np.nan_to_num(esav_true), 0.0)
-        if estimators is not None:
+        if learner is not None:
             if psbl is not None:
-                est_vals = psbl.refresh(policy_rng)
-            else:
-                est_vals = np.array([e.estimate() for e in estimators])
+                psbl.refresh(policy_rng)
+            est_vals = learner.estimate()
             esav_ranking = np.where(active, est_vals, 0.0)
             if trace_lines is not None:
                 truth = np.nan_to_num(esav_true)
@@ -411,20 +412,25 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
         deadline_tasks += int(ended.sum())
         completed_tasks += int((ended & (leftover == 0)).sum())
 
-        if estimators is not None:
-            for i in np.nonzero(offloading)[0]:
-                obs = observe(
-                    NoiseModel(float(esav_true[i]), float(scn.noise_vars[i])), noise_rngs[i]
+        if learner is not None:
+            users = np.nonzero(offloading)[0]
+            if users.size:
+                obs = np.array(
+                    [
+                        observe(NoiseModel(float(esav_true[i]), float(scn.noise_vars[i])), noise_rngs[i])
+                        for i in users
+                    ]
                 )
                 if cfg.estimator == "bl":
-                    estimators[i].update(obs, policy_rng)
+                    learner.update(users, obs, policy_rng)
                 else:
-                    estimators[i].update(obs)
+                    learner.update(users, obs)
 
         # state transition: countdown while running, arrival draw at the end
         running = tau >= 2
         backlog = np.where(running, np.maximum(backlog - np.where(sel == 1, caps, 1), 0), backlog)
         tau = np.where(running, tau - 1, tau)
+        arrived = []
         for i in np.nonzero(~running)[0]:
             if gens[i].maybe_arrival(task_rngs[i]):
                 spec = gens[i].draw(task_rngs[i], current_slot=t + 1)
@@ -432,11 +438,12 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
                 backlog[i] = spec.total_subtasks
                 if cfg.fading_period_slots == 0:
                     esav_true[i] = savings.draw(i)
-                    if estimators is not None:
-                        estimators[i].reset()
+                    arrived.append(i)
             else:
                 tau[i] = 0
                 backlog[i] = 0
+        if learner is not None and arrived:
+            learner.reset(np.array(arrived))
 
     if trace_lines is not None:
         trace_path = Path(cfg.estimate_trace_path.format(seed=seed))
@@ -585,14 +592,20 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
     return mean, half
 
 
-def _episode_task(
-    args: tuple[SimConfig, int]
-) -> Union[tuple[RunRecord, EpisodeInfo], Exception]:
-    cfg, seed = args
+def _task(args: tuple[str, SimConfig, int]) -> Union[tuple[RunRecord, EpisodeInfo], float, Exception]:
+    """One episode or one relaxed bound; failures come back as the exception."""
+    kind, cfg, seed = args
     try:
+        if kind == "bound":
+            return compute_relaxed_bound(cfg, seed)
         return _run_episode_full(cfg, seed)
     except Exception as exc:  # noqa: BLE001 - failures isolate per cell-seed
         return exc
+
+
+def _bound_key(cfg: SimConfig, seed: int) -> tuple[SimConfig, int]:
+    # the bound depends on the scenario only, not on the policy
+    return dataclasses.replace(cfg, policy="wi", estimator="known"), seed
 
 
 def run_experiment(
@@ -605,22 +618,28 @@ def run_experiment(
 
     Failures are isolated per cell-seed and reported, never silently
     dropped.  The relaxed bound, when requested, is computed once per
-    scenario (it does not depend on the policy) and attached to every
-    record of that scenario.
+    scenario (it does not depend on the policy), in the same worker pool
+    as the episodes, and attached to every record of that scenario.
     """
     if not cells:
         raise ValueError("empty experiment grid")
     records: list[RunRecord] = []
     failures: list[tuple[str, int, str]] = []
     metadata: dict = {"seeds": list(seeds), "tail_bound": {}}
-    bounds: dict = {}
 
     tasks = [(i, cell, s) for i, cell in enumerate(cells) for s in seeds]
+    work = [("episode", cell.config, s) for _, cell, s in tasks]
+    bound_tasks: dict = {}
+    if compute_bound:
+        for _, cell, s in tasks:
+            bound_tasks.setdefault(_bound_key(cell.config, s), ("bound", cell.config, s))
+    work += bound_tasks.values()
     if jobs > 1:
         with Pool(jobs) as pool:
-            outcomes = pool.map(_episode_task, [(c.config, s) for _, c, s in tasks])
+            outcomes = pool.map(_task, work)
     else:
-        outcomes = [_episode_task((cell.config, s)) for _, cell, s in tasks]
+        outcomes = [_task(w) for w in work]
+    bounds = dict(zip(bound_tasks, outcomes[len(tasks) :]))
 
     # records are matched to their cell by index: cells may share every
     # field a record carries (policy, N, M, alpha) and differ elsewhere
@@ -631,13 +650,11 @@ def run_experiment(
             continue
         record, info = outcome
         if compute_bound:
-            key = (
-                dataclasses.replace(cell.config, policy="wi", estimator="known"),
-                s,
-            )
-            if key not in bounds:
-                bounds[key] = compute_relaxed_bound(cell.config, s)
-            record = dataclasses.replace(record, relaxed_bound=bounds[key])
+            bound = bounds[_bound_key(cell.config, s)]
+            if isinstance(bound, Exception):
+                failures.append((cell.name, s, f"relaxed bound: {type(bound).__name__}: {bound}"))
+                continue
+            record = dataclasses.replace(record, relaxed_bound=bound)
         records.append(record)
         per_cell[i].append(record)
         prev = metadata["tail_bound"].get(cell.name, 0.0)

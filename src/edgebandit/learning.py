@@ -1,41 +1,38 @@
 """Online estimation of unknown offloading energy savings.
 
-Three estimators feed the Whittle index when the true per-task saving
-is hidden: a running-mean MLE, a conjugate normal-inverse-gamma posterior
-sampler, and a prior-swapping Metropolis-Hastings refinement for
-non-conjugate (e.g. Laplace) priors whose per-decision cost does not grow
-with the number of observations.
+Three learners feed the Whittle index when the true per-task saving is
+hidden: a running-mean MLE, a conjugate normal-inverse-gamma posterior,
+and a prior-swapping Metropolis-Hastings refinement for non-conjugate
+(e.g. Laplace) priors.  Each learner is one object per episode that keeps
+every user's state in arrays over the N users and is updated once per
+slot, vectorised over the users that offloaded.  The state is a running
+count, mean and centred sum of squares per user (Welford's recurrence),
+so an update costs O(1) whatever the number of observations, and so does
+a decision.
 
-Observation model: each offload yields saving + Gaussian noise.  Logs and
-posteriors reset whenever the channel block (and hence the true saving)
-changes.
+Observation model: each offload yields saving + Gaussian noise.  A user's
+statistics (and chain state) reset whenever the channel block (and hence
+the true saving) changes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dynamics import PenaltyFn, TaskState
 from .whittle import IndexInput, whittle_index
 
 __all__ = [
     "NoiseModel",
-    "ObservationLog",
     "NIGParams",
     "PriorSpec",
     "observe",
-    "mle_estimate",
-    "nig_update",
+    "nig_posterior",
     "nig_sample",
-    "nig_logpdf",
-    "prior_swap_logdensity",
-    "mh_chain",
-    "mh_estimate",
     "learned_index",
     "MleWhittleEstimator",
     "BayesWhittleEstimator",
@@ -43,6 +40,7 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+NIG_VARIANTS = ("textbook", "paper")
 
 
 @dataclass(frozen=True)
@@ -57,38 +55,9 @@ class NoiseModel:
             raise ValueError("noise_var must be > 0")
 
 
-@dataclass
-class ObservationLog:
-    """Noisy saving measurements for the current channel block."""
-
-    samples: list[float] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    def add(self, value: float) -> None:
-        self.samples.append(float(value))
-
-    def clear(self) -> None:
-        self.samples.clear()
-
-
-def observe(
-    noise: NoiseModel, rng: np.random.Generator, log: Optional[ObservationLog] = None
-) -> float:
+def observe(noise: NoiseModel, rng: np.random.Generator) -> float:
     """One measurement of the energy saving after an actual offload."""
-    value = float(noise.true_saving + math.sqrt(noise.noise_var) * rng.standard_normal())
-    if log is not None:
-        log.add(value)
-    return value
-
-
-def mle_estimate(log: ObservationLog) -> float:
-    """Sample mean of the observations; errors on an empty log."""
-    if log.count == 0:
-        raise ValueError("no observations")
-    return float(np.mean(log.samples))
+    return float(noise.true_saving + math.sqrt(noise.noise_var) * rng.standard_normal())
 
 
 @dataclass(frozen=True)
@@ -110,31 +79,38 @@ class NIGParams:
             raise ValueError("lam, phi, nu must be strictly positive")
 
 
-def nig_update(prior: NIGParams, log: ObservationLog, variant: str = "textbook") -> NIGParams:
-    """Conjugate posterior from the block-start prior and the full log.
-
-    ``variant="textbook"`` halves the centered sum of squares in the scale
-    update (the exact conjugate posterior; verified against grid
-    quadrature).  ``variant="paper"`` leaves that sum unhalved.  An empty
-    log returns the prior unchanged.
-    """
-    n = log.count
-    if n == 0:
-        return prior
-    xs = np.asarray(log.samples, dtype=np.float64)
-    xbar = float(xs.mean())
-    ss = float(np.sum((xs - xbar) ** 2))
-    lam_new = prior.lam + n
-    mu_new = (prior.lam * prior.mu + n * xbar) / lam_new
-    cross = (prior.lam * n / lam_new) * (xbar - prior.mu) ** 2 / 2.0
-    if variant == "textbook":
-        phi_new = prior.phi + 0.5 * ss + cross
-    elif variant == "paper":
-        phi_new = prior.phi + ss + cross
-    else:
+def _check_variant(variant: str) -> None:
+    if variant not in NIG_VARIANTS:
         raise ValueError(f"unknown nig variant {variant!r}")
-    nu_new = prior.nu + n / 2.0
-    return NIGParams(lam=lam_new, mu=mu_new, phi=phi_new, nu=nu_new)
+
+
+def nig_posterior(
+    prior: NIGParams, count, mean, m2, variant: str = "textbook"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Conjugate posterior ``(lam, mu, phi, nu)`` from sufficient statistics.
+
+    ``count``, ``mean`` and ``m2`` (the centred sum of squares) describe
+    each user's observations since the block-start ``prior``; the result
+    has their shape.  ``variant="textbook"`` halves ``m2`` in the scale
+    update (the exact conjugate posterior; verified against grid
+    quadrature).  ``variant="paper"`` leaves it unhalved.  A count of 0
+    gives the prior exactly.
+    """
+    _check_variant(variant)
+    n = np.asarray(count)
+    lam = prior.lam + n
+    mu = (prior.lam * prior.mu + n * mean) / lam
+    cross = (prior.lam * n / lam) * (mean - prior.mu) ** 2 / 2.0
+    ss = 0.5 * m2 if variant == "textbook" else m2
+    phi = prior.phi + ss + cross
+    nu = prior.nu + n / 2.0
+    empty = n == 0
+    return (
+        np.where(empty, prior.lam, lam),
+        np.where(empty, prior.mu, mu),
+        np.where(empty, prior.phi, phi),
+        np.where(empty, prior.nu, nu),
+    )
 
 
 def nig_sample(post: NIGParams, rng: np.random.Generator) -> tuple[float, float]:
@@ -150,20 +126,6 @@ def nig_sample(post: NIGParams, rng: np.random.Generator) -> tuple[float, float]
 
 def _normal_logpdf(x, mean, var):
     return -0.5 * (LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
-
-
-def _invgamma_logpdf(x, shape, scale):
-    return shape * np.log(scale) - gammaln(shape) - (shape + 1.0) * np.log(x) - scale / x
-
-
-def nig_logpdf(saving: float, variance: float, params: NIGParams) -> float:
-    """Log density of the normal-inverse-gamma at (saving, variance)."""
-    if variance <= 0:
-        return -math.inf
-    return float(
-        _normal_logpdf(saving, params.mu, variance / params.lam)
-        + _invgamma_logpdf(variance, params.nu, params.phi)
-    )
 
 
 @dataclass(frozen=True)
@@ -198,91 +160,6 @@ class PriorSpec:
         return rng.laplace(self.location, self.scale, size=size)
 
 
-def prior_swap_logdensity(
-    theta: tuple[float, float],
-    false_post: NIGParams,
-    false_prior: NIGParams,
-    true_prior: Union[PriorSpec, NIGParams],
-) -> float:
-    """Unnormalized log density of the swapped posterior at theta.
-
-    Evaluates log false_posterior + log true_prior - log false_prior, all
-    in closed form.  Nonpositive variance maps to -inf so the MH kernel
-    rejects it automatically.
-    """
-    saving, variance = theta
-    if variance <= 0:
-        return -math.inf
-    out = nig_logpdf(saving, variance, false_post)
-    if isinstance(true_prior, NIGParams):
-        out += nig_logpdf(saving, variance, true_prior) - nig_logpdf(saving, variance, false_prior)
-    else:
-        # shared inverse-gamma variance prior cancels; only the saving
-        # marginals differ between the true and false priors
-        out += float(true_prior.logpdf(saving))
-        out -= float(_normal_logpdf(saving, false_prior.mu, variance / false_prior.lam))
-    return out
-
-
-def mh_chain(
-    start: tuple[float, float],
-    chain_len: int,
-    proposal_scale: tuple[float, float],
-    logdensity: Callable[[tuple[float, float]], float],
-    rng: np.random.Generator,
-    burn_in: int = 0,
-) -> list[tuple[float, float]]:
-    """Random-walk Metropolis-Hastings over (saving, variance).
-
-    Steps are independent Gaussians on (saving, log variance), a symmetric
-    proposal in that parameterization, so the acceptance ratio is the
-    target ratio alone (with the log-variance Jacobian folded into the
-    target).  Rejection keeps the previous sample.
-    """
-    if chain_len < 1:
-        raise ValueError("chain_len must be >= 1")
-    saving, variance = float(start[0]), float(start[1])
-    if variance <= 0:
-        raise ValueError("start variance must be > 0")
-    logvar = math.log(variance)
-    s_sav, s_lv = proposal_scale
-
-    def target(sav: float, lv: float) -> float:
-        return logdensity((sav, math.exp(lv))) + lv
-
-    cur = target(saving, logvar)
-    out: list[tuple[float, float]] = []
-    for step in range(burn_in + chain_len):
-        prop_sav = saving + s_sav * rng.standard_normal()
-        prop_lv = logvar + s_lv * rng.standard_normal()
-        prop = target(prop_sav, prop_lv)
-        if math.log(rng.random()) < prop - cur:
-            saving, logvar, cur = prop_sav, prop_lv, prop
-        if step >= burn_in:
-            out.append((saving, math.exp(logvar)))
-    return out
-
-
-def mh_estimate(
-    start: tuple[float, float],
-    chain_len: int,
-    proposal_scale: tuple[float, float],
-    logdensity: Callable[[tuple[float, float]], float],
-    rng: np.random.Generator,
-    burn_in: int = 0,
-) -> float:
-    """Mean of the saving components over a Metropolis-Hastings chain."""
-    samples = mh_chain(start, chain_len, proposal_scale, logdensity, rng, burn_in)
-    return float(np.mean([s for s, _ in samples]))
-
-
-def default_proposal_scale(post: NIGParams, factor: float = 1.0) -> tuple[float, float]:
-    """Proposal steps sized to the posterior's marginal spreads."""
-    sav_sd = math.sqrt(post.phi / (post.lam * post.nu))
-    logvar_sd = 1.0 / math.sqrt(post.nu)
-    return factor * sav_sd, factor * logvar_sd
-
-
 def learned_index(
     estimate: float,
     state: TaskState,
@@ -304,46 +181,73 @@ def learned_index(
 
 
 # ---------------------------------------------------------------------------
-# Per-user estimator state machines used by the simulation harness
+# Learners over all users, as used by the simulation harness
 # ---------------------------------------------------------------------------
 
 INIT_PRIOR = NIGParams(lam=1.0, mu=1.0, phi=1.0, nu=1.0)
 INIT_ESTIMATE = 1.0
 
 
-class MleWhittleEstimator:
-    """Running-mean estimator; falls back to the initial guess when empty."""
+class _UserStats:
+    """Each user's observation count, mean and centred sum of squares.
 
-    def __init__(self, init_estimate: float = INIT_ESTIMATE):
+    ``users`` arguments are index arrays (or boolean masks) over the users;
+    ``None`` means every user.
+    """
+
+    def __init__(self, num_users: int):
+        self.count = np.zeros(num_users, dtype=np.int64)
+        self.mean = np.zeros(num_users)
+        self.m2 = np.zeros(num_users)
+
+    def reset(self, users: Optional[np.ndarray] = None) -> None:
+        at = slice(None) if users is None else users
+        self.count[at] = 0
+        self.mean[at] = 0.0
+        self.m2[at] = 0.0
+
+    def _add(self, users: np.ndarray, observations: np.ndarray) -> None:
+        """Welford's step for one new observation of each listed user
+        (a user appears at most once)."""
+        n = self.count[users] + 1
+        delta = observations - self.mean[users]
+        mean = self.mean[users] + delta / n
+        self.count[users] = n
+        self.mean[users] = mean
+        self.m2[users] += delta * (observations - mean)
+
+
+class MleWhittleEstimator(_UserStats):
+    """Running means; a user without observations gets the initial guess."""
+
+    def __init__(self, num_users: int, init_estimate: float = INIT_ESTIMATE):
+        super().__init__(num_users)
         self.init_estimate = init_estimate
-        self.log = ObservationLog()
 
-    def reset(self) -> None:
-        self.log.clear()
+    def update(self, users: np.ndarray, observations: np.ndarray) -> None:
+        self._add(users, observations)
 
-    def update(self, observation: float) -> None:
-        self.log.add(observation)
-
-    def estimate(self) -> float:
-        if self.log.count == 0:
-            return self.init_estimate
-        return mle_estimate(self.log)
+    def estimate(self) -> np.ndarray:
+        return np.where(self.count > 0, self.mean, self.init_estimate)
 
 
-class BayesWhittleEstimator:
+class BayesWhittleEstimator(_UserStats):
     """Conjugate posterior estimator.
 
-    Each new observation refreshes the posterior from the block-start
-    prior and the full log.  By default the ranking estimate is the
-    posterior mean; ``mode="sample"`` draws a fresh posterior sample per
-    update instead (Thompson style).  With a unit prior and measurement
-    noise several times the true spread, the sampled estimate is
-    dominated by draw noise and measurably underperforms even the plain
-    running mean, so the mean is the production default.
+    Each update refreshes the updated users' posteriors from the
+    block-start prior and their statistics.  By default the ranking
+    estimate is the posterior mean; ``mode="sample"`` draws a fresh
+    posterior sample per updated user instead (Thompson style), in
+    ascending user order, gamma then normal, from the given stream.  With
+    a unit prior and measurement noise several times the true spread, the
+    sampled estimate is dominated by draw noise and measurably
+    underperforms even the plain running mean, so the mean is the
+    production default.
     """
 
     def __init__(
         self,
+        num_users: int,
         prior: NIGParams = INIT_PRIOR,
         init_estimate: float = INIT_ESTIMATE,
         variant: str = "textbook",
@@ -351,75 +255,94 @@ class BayesWhittleEstimator:
     ):
         if mode not in ("mean", "sample"):
             raise ValueError(f"unknown estimate mode {mode!r}")
+        _check_variant(variant)
+        super().__init__(num_users)
         self.prior = prior
         self.init_estimate = init_estimate
         self.variant = variant
         self.mode = mode
-        self.log = ObservationLog()
-        self.posterior = prior
-        self._estimate = init_estimate
+        self._estimate = np.full(num_users, init_estimate)
 
-    def reset(self) -> None:
-        self.log.clear()
-        self.posterior = self.prior
-        self._estimate = self.init_estimate
+    def reset(self, users: Optional[np.ndarray] = None) -> None:
+        super().reset(users)
+        self._estimate[slice(None) if users is None else users] = self.init_estimate
 
-    def update(self, observation: float, rng: np.random.Generator) -> None:
-        self.log.add(observation)
-        self.posterior = nig_update(self.prior, self.log, self.variant)
-        if self.mode == "sample":
-            _, self._estimate = nig_sample(self.posterior, rng)
-        else:
-            self._estimate = self.posterior.mu
+    def posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every user's ``(lam, mu, phi, nu)``."""
+        return nig_posterior(self.prior, self.count, self.mean, self.m2, self.variant)
 
-    def estimate(self) -> float:
+    def update(
+        self, users: np.ndarray, observations: np.ndarray, rng: Optional[np.random.Generator] = None
+    ) -> None:
+        """Add one observation per listed user; ``users`` ascend, and
+        ``rng`` is needed in sample mode."""
+        self._add(users, observations)
+        lam, mu, phi, nu = nig_posterior(
+            self.prior, self.count[users], self.mean[users], self.m2[users], self.variant
+        )
+        if self.mode == "mean":
+            self._estimate[users] = mu
+            return
+        for j, i in enumerate(users):
+            post = NIGParams(lam=lam[j], mu=mu[j], phi=phi[j], nu=nu[j])
+            _, self._estimate[i] = nig_sample(post, rng)
+
+    def estimate(self) -> np.ndarray:
         return self._estimate
 
 
-class PriorSwapWhittleEstimator:
+class PriorSwapWhittleEstimator(_UserStats):
     """Prior-swapping estimator for a non-conjugate true prior.
 
-    Maintains the conjugate pseudo-posterior for the observations and, at
-    every decision, advances a short MH chain on the swapped density; the
-    estimate is the mean of the chain's saving components.  Per-decision
-    cost depends only on the chain length, never on the log size.
+    Keeps the conjugate pseudo-posterior's statistics and, per user, the
+    state (saving, log variance) of a Metropolis-Hastings chain on the
+    swapped density.  The harness's MH kernel advances every chain by
+    ``burn_in + chain_len`` steps per decision and leaves the mean of the
+    last ``chain_len`` saving components in ``chain_mean``, which is the
+    estimate.  Per-decision cost depends only on the chain length, never
+    on the number of observations.
     """
 
     def __init__(
         self,
+        num_users: int,
         true_prior: PriorSpec,
         false_prior: NIGParams = INIT_PRIOR,
         chain_len: int = 10,
+        burn_in: int = 0,
         proposal_factor: float = 1.0,
         variant: str = "textbook",
         init_theta: tuple[float, float] = (INIT_ESTIMATE, 1.0),
     ):
+        if chain_len < 1:
+            raise ValueError("chain_len must be >= 1")
+        if init_theta[1] <= 0:
+            raise ValueError("initial variance must be > 0")
+        _check_variant(variant)
+        super().__init__(num_users)
         self.true_prior = true_prior
         self.false_prior = false_prior
         self.chain_len = chain_len
+        self.burn_in = burn_in
         self.proposal_factor = proposal_factor
         self.variant = variant
         self.init_theta = init_theta
-        self.log = ObservationLog()
-        self.posterior = false_prior
-        self.theta = init_theta
+        self.chain_saving = np.full(num_users, float(init_theta[0]))
+        self.chain_logvar = np.full(num_users, math.log(init_theta[1]))
+        self.chain_mean = np.full(num_users, float(init_theta[0]))
 
-    def reset(self) -> None:
-        self.log.clear()
-        self.posterior = self.false_prior
-        self.theta = self.init_theta
+    def reset(self, users: Optional[np.ndarray] = None) -> None:
+        super().reset(users)
+        at = slice(None) if users is None else users
+        self.chain_saving[at] = self.init_theta[0]
+        self.chain_logvar[at] = math.log(self.init_theta[1])
 
-    def update(self, observation: float) -> None:
-        self.log.add(observation)
-        self.posterior = nig_update(self.false_prior, self.log, self.variant)
+    def posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every user's conjugate pseudo-posterior ``(lam, mu, phi, nu)``."""
+        return nig_posterior(self.false_prior, self.count, self.mean, self.m2, self.variant)
 
-    def estimate(self, rng: np.random.Generator) -> float:
-        samples = mh_chain(
-            self.theta,
-            self.chain_len,
-            default_proposal_scale(self.posterior, self.proposal_factor),
-            lambda th: prior_swap_logdensity(th, self.posterior, self.false_prior, self.true_prior),
-            rng,
-        )
-        self.theta = samples[-1]
-        return float(np.mean([s for s, _ in samples]))
+    def update(self, users: np.ndarray, observations: np.ndarray) -> None:
+        self._add(users, observations)
+
+    def estimate(self) -> np.ndarray:
+        return self.chain_mean

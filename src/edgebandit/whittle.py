@@ -52,8 +52,8 @@ class IndexInput:
     penalty: PenaltyFn
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError("discount must lie in (0, 1]")
+        if not 0.0 < self.discount < 1.0:
+            raise ValueError("discount must lie in (0, 1)")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
 
@@ -132,9 +132,10 @@ def _crossing(passive_now: np.ndarray, active_now: np.ndarray, e_saving: np.ndar
     Each passive-now line reaches every active-now line on an interval of
     subsidies (empty, bounded or a half-line); the answer is the least left
     end of a nonempty interval.  The pair axes are (row, active, passive).
-    Equal slopes arise with discount 1, where slopes are exact slot counts:
-    such a pair bounds the subsidy from below by +inf (never), by -inf or,
-    when the lines coincide, not at all (nan, which fmax skips).
+    Two schedules can have equal slopes (equal discounted passive time, exact
+    for some discounts or after rounding): such a pair bounds the subsidy
+    from below by +inf (never), by -inf or, when the lines coincide, not at
+    all (nan, which fmax skips).
     """
     e = e_saving[:, None]
     rp = passive_now[:, 1, :] * e + passive_now[:, 2, :]
@@ -203,8 +204,9 @@ def whittle_index_array(
     saving whose e plus the table is not positive gives an index between e
     and 0, where finishing early itself earns subsidy; such states are
     solved per state from the cached schedule lines.  The shift by e needs
-    discount < 1: with discount 1 schedules can tie on a whole interval of
-    subsidies, whose least point can lie below e plus the table.
+    discount < 1, which ``IndexInput``, ``SubsidizedArmMDP`` and
+    ``SimConfig`` require: with discount 1 schedules could tie on a whole
+    interval of subsidies, whose least point can lie below e plus the table.
     """
     tau, b, e, k = np.broadcast_arrays(
         np.asarray(tau, dtype=np.int64),
@@ -256,8 +258,8 @@ class SubsidizedArmMDP:
             raise ValueError("state-space bounds must be nonnegative")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError("discount must lie in (0, 1]")
+        if not 0.0 < self.discount < 1.0:
+            raise ValueError("discount must lie in (0, 1)")
 
     def valid_mask(self) -> np.ndarray:
         """Boolean (horizon+1, max_backlog+1) mask of reachable states."""

@@ -24,12 +24,19 @@ import time
 
 import numpy as np
 import pytest
+from learning_oracles import log_of, nig_logpdf, nig_update, prior_swap_logdensity
 from scipy import stats
 
 from edgebandit.config import ExperimentCell, SimConfig, apply_overrides, preset_cells
 from edgebandit.dynamics import PenaltyFn
-from edgebandit.harness import read_csv, run_experiment
-from edgebandit.learning import NIGParams, ObservationLog, nig_logpdf, nig_update
+from edgebandit.harness import _PsblBatch, read_csv, run_experiment
+from edgebandit.learning import (
+    BayesWhittleEstimator,
+    MleWhittleEstimator,
+    NIGParams,
+    PriorSpec,
+    PriorSwapWhittleEstimator,
+)
 from edgebandit.whittle import SubsidizedArmMDP, indexability_check, subsidy_threshold_table, whittle_index_array
 
 SEEDS = list(range(20))
@@ -314,10 +321,10 @@ def test_criterion_5_alpha_tradeoff(fig4):
 
 
 def _posterior_offset_spread(prior, samples, n_grid=100):
-    log = ObservationLog()
+    learner = BayesWhittleEstimator(1, prior)
     for x in samples:
-        log.add(float(x))
-    post = nig_update(prior, log, "textbook")
+        learner.update(np.array([0]), np.array([float(x)]))
+    post = NIGParams(*(float(a[0]) for a in learner.posterior()))
     mean_sd = math.sqrt(post.phi / (post.lam * post.nu))
     means = np.linspace(post.mu - 8 * mean_sd, post.mu + 8 * mean_sd, n_grid)
     v_scale = post.phi / post.nu
@@ -426,19 +433,9 @@ def test_criterion_7_gaps_shrink(fig7):
 
 
 def test_criterion_8_mh():
-    from edgebandit.learning import (
-        PriorSpec,
-        PriorSwapWhittleEstimator,
-        default_proposal_scale,
-        mh_estimate,
-        prior_swap_logdensity,
-    )
-
     false_prior = NIGParams(1.0, 1.0, 1.0, 1.0)
-    log = ObservationLog()
-    for x in (1.4, 0.9, 1.8):
-        log.add(x)
-    post = nig_update(false_prior, log)
+    obs = (1.4, 0.9, 1.8)
+    post = nig_update(false_prior, log_of(*obs))
     laplace = PriorSpec("laplace", 1.0, 0.2)
 
     def logdensity(theta):
@@ -455,31 +452,51 @@ def test_criterion_8_mh():
     w = np.exp(logp - logp.max())
     truth = float((ee * w).sum() / w.sum())
 
+    # 48 independent chains from (1.0, 1.0), one per user, on the batch kernel
     rng = np.random.default_rng(2)
-    scale = default_proposal_scale(post)
-    estimates = np.array(
-        [mh_estimate((1.0, 1.0), 4000, scale, logdensity, rng, burn_in=200) for _ in range(48)]
-    )
+    chains = PriorSwapWhittleEstimator(48, laplace, false_prior, chain_len=4000, burn_in=200)
+    for x in obs:
+        chains.update(np.arange(48), np.full(48, x))
+    estimates = _PsblBatch(chains).refresh(rng)
     se = estimates.std(ddof=1) / math.sqrt(estimates.size)
     mc_ok = abs(estimates.mean() - truth) <= 3 * se
 
-    def per_decision_cost(n_obs):
-        est = PriorSwapWhittleEstimator(true_prior=laplace, false_prior=false_prior)
+    def one_user(learner, n_obs):
         for x in rng.normal(1.0, 0.8, n_obs):
-            est.update(float(x))
+            learner.update(np.array([0]), np.array([float(x)]))
+        return learner
+
+    def median_time(call, repeats=60):
         times = []
-        for _ in range(60):
+        for _ in range(repeats):
             t0 = time.perf_counter()
-            est.estimate(rng)
+            call()
             times.append(time.perf_counter() - t0)
         return float(np.median(times))
 
+    def per_decision_cost(n_obs):
+        batch = _PsblBatch(one_user(PriorSwapWhittleEstimator(1, laplace, false_prior), n_obs))
+        return median_time(lambda: batch.refresh(rng))
+
+    def per_update_cost(make, n_obs):
+        learner = one_user(make(), n_obs)
+        return median_time(lambda: learner.update(np.array([0]), np.array([1.0])))
+
     ratio = per_decision_cost(10_000) / per_decision_cost(10)
+    learners = {
+        "psbl": lambda: PriorSwapWhittleEstimator(1, laplace, false_prior),
+        "bl": lambda: BayesWhittleEstimator(1, false_prior),
+        "mle": lambda: MleWhittleEstimator(1),
+    }
+    update_ratios = {
+        name: per_update_cost(make, 10_000) / per_update_cost(make, 10) for name, make in learners.items()
+    }
     report(
         "criterion 8",
-        mc_ok and ratio < 2.0,
+        mc_ok and ratio < 2.0 and max(update_ratios.values()) < 2.0,
         f"chain mean {estimates.mean():.4f} vs quadrature {truth:.4f} "
-        f"(3 SE = {3*se:.4f}); cost ratio gamma 1e4 vs 10 = {ratio:.2f}x",
+        f"(3 SE = {3*se:.4f}); cost ratio gamma 1e4 vs 10 = {ratio:.2f}x; update cost ratio "
+        + ", ".join(f"{name} {r:.2f}x" for name, r in update_ratios.items()),
     )
 
 

@@ -64,6 +64,14 @@ def test_verify_index_grid(tmp_path):
     assert len(lines) == 1 + 1 + 4 * 11  # header + (0,0) + tau 1..4 x b 0..10
 
 
+def test_verify_index_rejects_discount_one(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    code = main(["verify-index", "--tau-max", "3", "--b-max", "5", "--discount", "1", "--out", str(out)])
+    assert code != 0
+    assert "discount must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_indexability(capsys):
     code = main(["check-indexability", "--configs", "5", "--grid-points", "60", "--seed", "1"])
     assert code == 0

@@ -210,6 +210,14 @@ class TestRunExperiment:
         # same scenario, same bound under both policies
         assert result.records[0].relaxed_bound == result.records[1].relaxed_bound
 
+    def test_bounds_in_worker_pool_match_serial(self):
+        cell = self.cells()[:1]
+        serial = run_experiment(cell, seeds=[0, 1], compute_bound=True, jobs=1)
+        pooled = run_experiment(cell, seeds=[0, 1], compute_bound=True, jobs=2)
+        assert pooled.records == serial.records
+        assert all(r.relaxed_bound is not None for r in serial.records)
+        assert serial.records[0].relaxed_bound != serial.records[1].relaxed_bound
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_experiment([], seeds=[0])

@@ -118,6 +118,12 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             IndexInput(TaskState(1, 1), 1.0, 4, 0.0, THEORY1)
 
+    def test_discount_one_rejected(self):
+        with pytest.raises(ValueError, match=r"discount must lie in \(0, 1\)"):
+            IndexInput(TaskState(1, 1), 1.0, 4, 1.0, THEORY1)
+        with pytest.raises(ValueError, match=r"discount must lie in \(0, 1\)"):
+            mdp(discount=1.0)
+
 
 class TestSingleArmValueIteration:
     def test_huge_subsidy_passive_everywhere(self):
