@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from learning_oracles import (
+    ObservationLog,
     default_proposal_scale,
     log_of,
     mh_chain,
@@ -81,6 +82,14 @@ class TestObserve:
         xs = np.array([observe(noise, r) for _ in range(10_000)])
         assert xs.var() == pytest.approx(0.6, rel=0.1)
 
+    def test_log_appending(self):
+        # the learner's running statistics take the place of the log:
+        # each observation fed to a user adds one to that user's count
+        est = MleWhittleEstimator(2)
+        est.update(np.array([0]), np.array([observe(NoiseModel(1.0, 0.5), rng())]))
+        est.update(np.array([0]), np.array([observe(NoiseModel(1.0, 0.5), rng())]))
+        assert est.count.tolist() == [2, 0]
+
     def test_invalid_variance(self):
         with pytest.raises(ValueError):
             NoiseModel(1.0, 0.0)
@@ -100,8 +109,14 @@ class TestMle:
         est.reset(np.array([2]))
         assert est.estimate().tolist() == [4.0, -1.0, -1.0]
 
+    def test_empty_log_rejected(self):
+        # the log-based reference must fail loudly rather than compare
+        # the learners against the nan mean of no observations
+        with pytest.raises(ValueError, match="no observations"):
+            mle_estimate(ObservationLog())
 
-class TestNigPosterior:
+
+class TestNigUpdate:
     def test_single_observation(self):
         post = posterior_of(NIGParams(1, 1, 1, 1), (2.0,))
         assert post.lam == pytest.approx(2.0)
@@ -116,7 +131,7 @@ class TestNigPosterior:
         assert post.phi == pytest.approx(4.0 / 3.0)
         assert post.nu == pytest.approx(2.0)
 
-    def test_no_observations_return_prior(self):
+    def test_empty_log_returns_prior(self):
         prior = NIGParams(2.0, 0.1, 3.0, 1.5)
         got = nig_posterior(prior, np.array([0, 0]), np.array([0.0, 7.0]), np.array([0.0, 2.0]))
         for values, want in zip(got, (prior.lam, prior.mu, prior.phi, prior.nu)):
