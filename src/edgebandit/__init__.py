@@ -21,7 +21,7 @@ from .harness import (
 )
 from .learning import NIGParams, PriorSpec, nig_posterior, nig_sample
 from .mec import ChannelEnvironment, EnergyFigures, UserProfile
-from .policies import PolicyKind, build_stlw_dag, kahn_topo_sort, select
+from .policies import PolicyKind, select, slot_keys
 from .whittle import (
     ArmChain,
     IndexInput,

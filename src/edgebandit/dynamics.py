@@ -10,7 +10,6 @@ task's deadline and its unfinished subtasks.  The idle state is exactly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "transition",
     "generate_task",
     "reward",
-    "slack_time",
     "step_system",
 ]
 
@@ -96,12 +94,15 @@ class PenaltyFn:
             return 0.0
         return self.base + self.quad_coeff * x * x
 
+    def values(self, x) -> np.ndarray:
+        """F evaluated elementwise on an array, with the same float operations
+        as the scalar call."""
+        xf = np.asarray(x, dtype=np.float64)
+        return np.where(xf > 0, self.base + self.quad_coeff * xf * xf, 0.0)
+
     def table(self, x_max: int) -> np.ndarray:
         """F evaluated on 0..x_max (vectorized helper for the solvers)."""
-        x = np.arange(x_max + 1, dtype=np.float64)
-        out = self.base + self.quad_coeff * x * x
-        out[0] = 0.0
-        return out
+        return self.values(np.arange(x_max + 1))
 
 
 @dataclass(frozen=True)
@@ -214,17 +215,6 @@ def reward(
         leftover = max(state.backlog - capacity * action - (1 - action), 0)
         return e_saving * action - penalty(leftover)
     return 0.0
-
-
-def slack_time(state: TaskState, capacity: int) -> Fraction:
-    """Exact slack tau - backlog/capacity in slots.
-
-    Kept rational so dominance comparisons between users never suffer float
-    rounding.  Raises ValueError for the idle state.
-    """
-    if state.idle:
-        raise ValueError("no task")
-    return Fraction(state.tau) - Fraction(state.backlog, capacity)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -25,7 +24,7 @@ from scipy.special import gammaln
 
 from . import mec
 from .config import ConfigError, ExperimentCell, SimConfig
-from .dynamics import PenaltyFn, TaskGenerator
+from .dynamics import TaskGenerator
 from .learning import (
     BayesWhittleEstimator,
     MleWhittleEstimator,
@@ -34,7 +33,7 @@ from .learning import (
     PriorSwapWhittleEstimator,
     observe,
 )
-from .policies import PolicyKind, UserKeys, select
+from .policies import PolicyKind, select, slot_keys
 from .whittle import ArmChain, relaxed_upper_bound, whittle_index_array
 
 __all__ = [
@@ -215,10 +214,9 @@ class _SavingDraws:
         cfg, scn = self.cfg, self.scn
         if cfg.energy_truth == "channel":
             kappa = self.rngs[i].exponential(1.0)
-            env = dataclasses.replace(scn.env, fading_gain=kappa)
             profile = scn.profiles[i]
-            gain = mec.channel_gain(env, profile.distance)
-            rate = mec.transmission_rate(profile, gain, env)
+            gain = mec.channel_gain(scn.env, profile.distance, kappa)
+            rate = mec.transmission_rate(profile, gain, scn.env)
             e_off = mec.offload_energy(profile, rate, int(scn.capacities[i])).energy
             return mec.energy_saving(float(scn.e_locals[i]), e_off, int(scn.capacities[i]))
         if cfg.energy_truth == "gaussian":
@@ -301,11 +299,6 @@ def _learner(cfg: SimConfig, n: int):
     return None
 
 
-def _penalty_values(penalty: PenaltyFn, x: np.ndarray) -> np.ndarray:
-    xf = x.astype(np.float64)
-    return np.where(x > 0, penalty.base + penalty.quad_coeff * xf * xf, 0.0)
-
-
 def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo]:
     scn = build_scenario(cfg, seed)
     kind = PolicyKind.parse(cfg.policy)
@@ -335,7 +328,6 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     deadline_tasks = 0
     completed_tasks = 0
     max_abs_slot_reward = 0.0
-    need_slack = kind in (PolicyKind.LST, PolicyKind.STLW_WI)
     trace_lines: Optional[list[str]] = None
     if cfg.estimate_trace_path and learner is not None:
         trace_lines = ["slot,user,estimate,true_saving"]
@@ -368,35 +360,18 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
             esav_ranking,
             np.where(
                 (backlog > 0) & (tau == 1),
-                esav_ranking - _penalty_values(penalty, leftover_act) + _penalty_values(penalty, leftover_pas),
+                esav_ranking - penalty.values(leftover_act) + penalty.values(leftover_pas),
                 0.0,
             ),
         )
-        keys = [
-            UserKeys(
-                user=i,
-                idle=not bool(active[i]),
-                tau=int(tau[i]) if active[i] else None,
-                backlog=int(backlog[i]),
-                slack=(
-                    Fraction(int(tau[i]) * int(caps[i]) - int(backlog[i]), int(caps[i]))
-                    if (need_slack and active[i])
-                    else None
-                ),
-                wi=float(wi[i]),
-                greedy_gain=float(gain[i]),
-                capacity=int(caps[i]),
-            )
-            for i in range(n)
-        ]
-        action = select(kind, keys, m)
+        action = select(kind, slot_keys(tau, backlog, caps, wi, gain), m)
         sel = np.zeros(n, dtype=np.int64)
         sel[list(action.selected)] = 1
 
         # rewards use the true savings regardless of what the policy knows
         esav_reward = np.nan_to_num(esav_true)
         leftover = np.maximum(backlog - caps * sel - (1 - sel), 0)
-        pen_vals = _penalty_values(penalty, leftover)
+        pen_vals = penalty.values(leftover)
         r = np.where(
             backlog > 0,
             np.where(tau > 1, esav_reward * sel, esav_reward * sel - pen_vals),

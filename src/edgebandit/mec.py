@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 __all__ = [
     "UserProfile",
@@ -87,8 +87,8 @@ class ChannelEnvironment:
     """Shared channel and server parameters.
 
     ``fading_gain`` is the small-scale fading power gain of the current
-    channel block (unit-mean exponential draws; redrawn per task by the
-    harness via ``dataclasses.replace``).
+    channel block.  The harness draws a unit-mean exponential gain per task
+    and passes it to :func:`channel_gain` instead.
     """
 
     pathloss_const: float
@@ -179,9 +179,15 @@ def offload_capacity(profile: UserProfile, env: ChannelEnvironment) -> int:
     return k
 
 
-def channel_gain(env: ChannelEnvironment, distance: float) -> float:
-    """Block-fading channel power gain at the given distance."""
-    return env.fading_gain * env.pathloss_const * (env.ref_distance / distance) ** env.pathloss_exp
+def channel_gain(env: ChannelEnvironment, distance: float, fading: Optional[float] = None) -> float:
+    """Block-fading channel power gain at the given distance.
+
+    ``fading`` is the block's fading power gain; None uses the
+    environment's ``fading_gain``.
+    """
+    if fading is None:
+        fading = env.fading_gain
+    return fading * env.pathloss_const * (env.ref_distance / distance) ** env.pathloss_exp
 
 
 def transmission_rate(profile: UserProfile, gain: float, env: ChannelEnvironment) -> float:

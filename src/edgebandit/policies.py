@@ -1,31 +1,39 @@
 """M-of-N selection policies: index ranking, slack/workload dominance
 ordering, and the classical deadline heuristics.
 
-All selections are pure functions of the per-user keys and deterministic:
-every tie breaks toward the smaller user index, and idle users rank after
-all users holding a task under every criterion.
+One slot's keys arrive as a record array with one record per user
+(:func:`slot_keys`).  Every policy ranks with one ``np.lexsort`` on
+(class, criterion, user id).  The classes are: users with work (0); under
+least slack only, lost causes (1), whose deadline cannot be met even with
+service every slot; users holding a task with no backlog left (3); idle
+users (4).  Users with nothing to offload gain nothing from a server slot,
+so they rank after every user with work under all criteria.  Least slack
+ranks lost causes after every task that can still finish: sorting negative
+slack first would funnel all capacity into unsalvageable tasks the moment
+the system is loaded.  Earliest-deadline stays classic (deadline proximity
+only, overload degradation and all), and the index policies need no guard
+because the index prices lost causes.
+
+The criteria are the Whittle index (wi, largest first), the deadline (edf),
+the slack tau - backlog/capacity (lst), the immediate gain (greedy) and the
+STLW pop order (stlw-wi).  Slack is exact: it is ranked as the integer
+slack x lcm(capacities).  STLW pops users in the dominance order of the
+flat-index users (see :func:`_stlw_pops`) and stops after M pops.
+
+Selections are deterministic: every tie breaks toward the smaller user id.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import math
 from enum import Enum
-from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .dynamics import ActionVector
 
-__all__ = [
-    "PolicyKind",
-    "UserKeys",
-    "PriorityDag",
-    "select",
-    "build_stlw_dag",
-    "kahn_topo_sort",
-]
+__all__ = ["PolicyKind", "slot_keys", "ranked", "select"]
 
 
 class PolicyKind(Enum):
@@ -46,185 +54,114 @@ class PolicyKind(Enum):
             raise ValueError(f"unknown policy {name!r}; expected one of: {valid}") from None
 
 
-@dataclass(frozen=True)
-class UserKeys:
-    """Per-user ranking keys computed by the caller for one slot.
+KEY_DTYPE = np.dtype(
+    [
+        ("user", np.int64),
+        ("tau", np.int64),
+        ("backlog", np.int64),
+        ("capacity", np.int64),
+        ("wi", np.float64),
+        ("gain", np.float64),
+    ]
+)
 
-    ``slack`` is exact (rational) and None for idle users; ``tau`` is None
-    for idle users.  ``greedy_gain`` is the immediate advantage of acting,
+
+def slot_keys(tau, backlog, capacity, wi, gain) -> np.recarray:
+    """One slot's ranking keys: record i holds user i's state and scores.
+
+    ``tau`` is 0 for idle users (whose backlog is 0).  ``wi`` is the
+    user's index and ``gain`` the immediate advantage of acting,
     reward(s, 1) - reward(s, 0).  ``capacity`` is the user's per-slot
-    offload capacity, used to classify states (a task is a lost cause once
-    backlog exceeds capacity * tau).
+    offload capacity.
     """
-
-    user: int
-    idle: bool
-    tau: Optional[int]
-    backlog: int
-    slack: Optional[Fraction]
-    wi: float
-    greedy_gain: float
-    capacity: int = 1
-
-    @property
-    def has_work(self) -> bool:
-        return not self.idle and self.backlog > 0
-
-    @property
-    def lost_cause(self) -> bool:
-        """True when the deadline cannot be met even with service every slot."""
-        return self.has_work and self.backlog > self.capacity * self.tau
-
-    @property
-    def index_flat(self) -> bool:
-        """True in the comfortable regime of one spare slot or more.
-
-        There a nonnegative saving's index equals the saving and carries no
-        urgency information; a negative saving's index lies between the
-        saving and 0 (saving / (1 + discount) at tau = 2, backlog = 2 with
-        capacity >= 2), because finishing early is then worth a subsidy.
-        """
-        return self.has_work and self.backlog <= self.capacity * (self.tau - 1) + 1
+    keys = np.empty(len(tau), KEY_DTYPE)
+    keys["user"] = np.arange(len(tau))
+    keys["tau"] = tau
+    keys["backlog"] = backlog
+    keys["capacity"] = capacity
+    keys["wi"] = wi
+    keys["gain"] = gain
+    return keys.view(np.recarray)
 
 
-@dataclass
-class PriorityDag:
-    """Dominance DAG over users holding a task.
+def _slack_key(tau: np.ndarray, backlog: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Slack tau - backlog/capacity times the lcm of the capacities: exact integers."""
+    lcm = math.lcm(*np.unique(capacity).tolist())
+    if lcm > 2**31:  # tau * lcm might overflow int64; Python integers stay exact
+        tau, backlog, capacity = (a.astype(object) for a in (tau, backlog, capacity))
+    return tau * lcm - backlog * (lcm // capacity)
 
-    ``edge[m, n]`` means user (row) m dominates user (column) n: no longer
-    slack and no more backlog, at least one strictly smaller.  The relation
-    is a strict partial order, so the graph is acyclic by construction.
+
+def _stlw_pops(keys: np.ndarray, slack: np.ndarray, work: np.ndarray, num_servers: int) -> np.ndarray:
+    """Rows of the first ``num_servers`` users with work (all, if fewer) in STLW order.
+
+    STLW is a topological order of the dominance graph that always pops
+    the available user with the largest index (ties: smaller user id).  User
+    m dominates user n when m has no more slack and no more backlog, at
+    least one strictly less.  Edges are kept only between users in the
+    flat-index regime, backlog <= capacity * (tau - 1) + 1: there the index
+    of a nonnegative saving equals the saving and carries no urgency, which
+    is the gap the rule exists to close.  Applied to every user, the rule
+    lets finished tasks and lost causes (least slack of all) capture server
+    slots, and low-index dominators drag their high-index victims below the
+    cut; both measurably collapse completion under load.
     """
-
-    users: np.ndarray  # user indices, aligned with matrix rows
-    wi: np.ndarray
-    edge: np.ndarray  # bool (n, n)
-    indegree: np.ndarray
-
-    def edges(self) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(self.edge)
-        return [(int(self.users[r]), int(self.users[c])) for r, c in zip(rows, cols)]
-
-
-def build_stlw_dag(keys: Sequence[UserKeys], scope_flat_index: bool = True) -> PriorityDag:
-    """Pairwise dominance graph for the active users in ``keys``.
-
-    Idle users must be excluded by the caller (they carry no slack).
-    Slack comparisons are exact: tau - backlog/capacity is compared via
-    integer cross-multiplication, never floats.
-
-    With ``scope_flat_index`` (the default used by the scheduler),
-    dominance edges are kept only between users in the flat-index regime -
-    the states the index ranks purely by energy saving and therefore
-    cannot distinguish by urgency, which is the gap the rule exists to
-    close.  Applied to the whole population, the literal rule backfires:
-    finished tasks and lost causes (shortest slack of all) capture server
-    slots through the graph, and low-index dominators drag their
-    high-index victims below the selection cut.  Both effects measurably
-    collapse completion under load.  Pass ``scope_flat_index=False`` for
-    the unrestricted relation.
-    """
-    active = [k for k in keys if not k.idle]
-    n = len(active)
-    users = np.array([k.user for k in active], dtype=np.int64)
-    wi = np.array([k.wi for k in active], dtype=np.float64)
-    if n == 0:
-        return PriorityDag(users=users, wi=wi, edge=np.zeros((0, 0), bool), indegree=np.zeros(0, np.int64))
-
-    num = np.array([k.slack.numerator for k in active], dtype=np.int64)
-    den = np.array([k.slack.denominator for k in active], dtype=np.int64)
-    backlog = np.array([k.backlog for k in active], dtype=np.int64)
-
-    # slack_m <= slack_n  <=>  num_m * den_n <= num_n * den_m (denominators > 0)
-    cross_m = num[:, None] * den[None, :]
-    cross_n = num[None, :] * den[:, None]
-    slack_le = cross_m <= cross_n
-    slack_lt = cross_m < cross_n
-    b_le = backlog[:, None] <= backlog[None, :]
-    b_lt = backlog[:, None] < backlog[None, :]
-    edge = slack_le & b_le & (slack_lt | b_lt)
-    if scope_flat_index:
-        flat = np.array([k.index_flat for k in active], dtype=bool)
-        edge = edge & flat[:, None] & flat[None, :]
-    else:
-        # a user with nothing left to offload never takes priority
-        edge = edge & (backlog[:, None] > 0)
-    np.fill_diagonal(edge, False)
-    return PriorityDag(users=users, wi=wi, edge=edge, indegree=edge.sum(axis=0).astype(np.int64))
+    w = np.flatnonzero(work)
+    w = w[np.lexsort((keys["user"][w], -keys["wi"][w]))]  # the pop priority
+    tau, backlog, capacity = keys["tau"][w], keys["backlog"][w], keys["capacity"][w]
+    flat = np.flatnonzero(backlog <= capacity * (tau - 1) + 1)
+    s, b = slack[w[flat]], backlog[flat]
+    no_more = (s[:, None] <= s) & (b[:, None] <= b)
+    edge = no_more & ~no_more.T
+    indegree = np.zeros(w.size, np.int64)
+    indegree[flat] = edge.sum(axis=0)
+    if not indegree.any():
+        return w[:num_servers]
+    # successors in pop-priority positions; a heap of positions pops the
+    # available user of largest index first
+    succ = np.zeros((w.size, w.size), bool)
+    succ[np.ix_(flat, flat)] = edge
+    dominates = succ.any(axis=1).tolist()
+    heap = np.flatnonzero(indegree == 0).tolist()
+    order = []
+    while heap and len(order) < num_servers:
+        v = heapq.heappop(heap)
+        order.append(v)
+        if dominates[v]:
+            indegree -= succ[v]
+            for u in np.flatnonzero(succ[v] & (indegree == 0)).tolist():
+                heapq.heappush(heap, u)
+    return w[order]
 
 
-def kahn_topo_sort(dag: PriorityDag) -> list[int]:
-    """Topological order, always popping the zero-indegree vertex with the
-    largest index value (ties: smallest user id).
-
-    Raises RuntimeError if vertices remain with positive indegree, which
-    would mean the dominance relation was not a partial order.
-    """
-    n = len(dag.users)
-    indegree = dag.indegree.copy()
-    heap = [(-dag.wi[v], int(dag.users[v]), v) for v in range(n) if indegree[v] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        _, user, v = heapq.heappop(heap)
-        order.append(user)
-        for w in np.nonzero(dag.edge[v])[0]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                heapq.heappush(heap, (-dag.wi[w], int(dag.users[w]), int(w)))
-    if len(order) != n:
-        raise RuntimeError("dominance relation not a partial order (cycle found)")
-    return order
-
-
-def _ranked(keys: Sequence[UserKeys], kind: PolicyKind) -> list[int]:
-    """Full priority order for one slot under the given policy.
-
-    Users with nothing to offload (idle, or holding a task with zero
-    backlog) gain nothing from a server slot, so they rank after every
-    user with work under all criteria; idle users last of all.  Least
-    slack ranks lost causes (negative slack, deadline unmeetable at full
-    service) after every task that can still finish: slack is itself a
-    feasibility measure, and sorting negative slack first would funnel
-    all capacity into unsalvageable tasks the moment the system is
-    loaded.  Earliest-deadline stays classic (deadline proximity only,
-    overload degradation and all), and the index policies need no guard
-    because the index prices lost causes.
-    """
-    if kind is PolicyKind.STLW_WI:
-        workers = [k for k in keys if k.has_work]
-        order = kahn_topo_sort(build_stlw_dag(workers))
-        order.extend(sorted(k.user for k in keys if not k.idle and k.backlog == 0))
-        order.extend(sorted(k.user for k in keys if k.idle))
-        return order
-
-    guard_lost = kind is PolicyKind.LST
-
-    def sort_key(k: UserKeys):
-        if kind is PolicyKind.EDF:
-            crit = k.tau if not k.idle else None
-        elif kind is PolicyKind.LST:
-            crit = k.slack if not k.idle else None
-        elif kind is PolicyKind.GREEDY:
-            crit = -k.greedy_gain
-        elif kind is PolicyKind.WI:
-            crit = -k.wi
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(kind)
-        if k.idle:
-            return (4, 0, k.user)
-        if k.backlog == 0:
-            return (3, 0, k.user)
-        if guard_lost and k.lost_cause:
-            return (1, crit, k.user)
-        return (0, crit, k.user)
-
-    return [k.user for k in sorted(keys, key=sort_key)]
-
-
-def select(kind: PolicyKind, keys: Sequence[UserKeys], num_servers: int) -> ActionVector:
-    """Pick exactly ``num_servers`` users to offload this slot."""
-    if num_servers > len(keys):
+def ranked(kind: PolicyKind, keys: np.ndarray, num_servers: int) -> np.ndarray:
+    """The ``num_servers`` highest-priority users of one slot, in priority order."""
+    keys = np.asarray(keys)  # plain field reads, without recarray attribute lookup
+    if num_servers > keys.size:
         raise ValueError("cannot select more users than exist")
-    order = _ranked(keys, kind)
-    return ActionVector.of(order[:num_servers])
+    tau, backlog, capacity = keys["tau"], keys["backlog"], keys["capacity"]
+    work = (tau > 0) & (backlog > 0)
+    cls = np.where(work, 0, np.where(tau > 0, 3, 4))
+    if kind is PolicyKind.WI:
+        crit = -keys["wi"]
+    elif kind is PolicyKind.GREEDY:
+        crit = -keys["gain"]
+    elif kind is PolicyKind.EDF:
+        crit = tau
+    elif kind is PolicyKind.LST:
+        crit = _slack_key(tau, backlog, capacity)
+        cls[work & (backlog > capacity * tau)] = 1
+    elif kind is PolicyKind.STLW_WI:
+        pops = _stlw_pops(keys, _slack_key(tau, backlog, capacity), work, num_servers)
+        crit = np.full(keys.size, pops.size)
+        crit[pops] = np.arange(pops.size)
+    else:  # pragma: no cover - exhaustive enum
+        raise ValueError(kind)
+    user = keys["user"]
+    order = np.lexsort((user, np.where(work, crit, 0), cls))
+    return user[order[:num_servers]]
+
+
+def select(kind: PolicyKind, keys: np.ndarray, num_servers: int) -> ActionVector:
+    """Pick exactly ``num_servers`` users to offload this slot."""
+    return ActionVector.of(ranked(kind, keys, num_servers))

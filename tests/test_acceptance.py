@@ -8,7 +8,7 @@ Known honest failures, kept red with their assertions unchanged:
     dominance refinement completes 1.25 fewer of about 3350 tasks per
     episode than the plain index ranking (-3 to +2 per seed).  The index
     is not the cause.  The refinement keeps dominance edges only between
-    flat-regime users (``build_stlw_dag``), the package's own departure
+    flat-regime users (``policies._stlw_pops``), the package's own departure
     from the literal rule; whether that matches the paper's STLW rule
     cannot be settled without its text.
   * criterion 4's edf (59.3% vs 70 +/- 6) and greedy (50.5% vs 66 +/- 6)

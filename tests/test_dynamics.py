@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from policy_oracles import slack_time
 
 from edgebandit.dynamics import (
     IDLE,
@@ -15,7 +16,6 @@ from edgebandit.dynamics import (
     TaskState,
     generate_task,
     reward,
-    slack_time,
     step_system,
     transition,
 )
@@ -62,6 +62,14 @@ class TestPenaltyFn:
     def test_table_matches_calls(self):
         pen = PenaltyFn.experiment(1.5)
         np.testing.assert_allclose(pen.table(10), [pen(x) for x in range(11)])
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.5, 1.5, 5.0])
+    def test_values_match_calls_bit_for_bit(self, alpha):
+        x = np.arange(61)
+        for pen in (PenaltyFn.theory(alpha), PenaltyFn.experiment(alpha)):
+            want = np.array([pen(int(v)) for v in x])
+            assert pen.values(x).tobytes() == want.tobytes()
+            assert pen.table(60).tobytes() == want.tobytes()
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,10 @@ class TestChannelGain:
     def test_fading_scales(self):
         assert channel_gain(env(fading_gain=2.0), 10.0) == pytest.approx(2e-8, rel=1e-12)
 
+    def test_fading_argument_matches_environment_gain(self):
+        for kappa in (0.0, 0.37, 1.0, 2.9):
+            assert channel_gain(env(), 37.0, kappa) == channel_gain(env(fading_gain=kappa), 37.0)
+
     @given(st.floats(1.0, 1e4), st.floats(1.0, 1e4))
     @settings(max_examples=50)
     def test_monotone_in_distance(self, d1, d2):

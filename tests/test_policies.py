@@ -1,18 +1,32 @@
-"""Selection policies: ranking rules, dominance graph, topological sort."""
+"""Selection policies: ranking rules, dominance graph, topological sort.
+
+Tests build keys as the reference ``UserKeys`` of ``policy_oracles`` and
+select through the array form; the dominance-graph tests check the
+reference graph and sort, and ``TestMatchesOracle`` ties the two together.
+"""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-
-from edgebandit.policies import (
-    PolicyKind,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from policy_oracles import (
     PriorityDag,
     UserKeys,
+    as_slot_keys,
     build_stlw_dag,
     kahn_topo_sort,
-    select,
+    ranked,
 )
+
+from edgebandit import policies
+from edgebandit.policies import PolicyKind
+
+
+def select(kind, keys, num_servers):
+    """The production selection on the array form of ``keys``."""
+    return policies.select(kind, as_slot_keys(keys), num_servers)
 
 
 def worker(user, tau, backlog, capacity, wi=0.0, gain=0.0):
@@ -282,3 +296,44 @@ class TestStlwSelection:
                 select(PolicyKind.STLW_WI, keys, m).selected
                 == select(PolicyKind.WI, keys, m).selected
             )
+
+
+@st.composite
+def slot_states(draw):
+    """Random slots: idle users, zero-backlog tasks, lost causes, and tied or
+    negative indices and gains drawn from small value sets."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n))
+    scores = st.sampled_from([-1.5, -0.25, -0.0, 0.0, 0.25, 0.5, 2.0])
+    keys = []
+    for i in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            keys.append(idler(i))
+            continue
+        k = draw(st.integers(1, 5))
+        tau = draw(st.integers(1, 8))
+        b = draw(st.integers(0, k * tau + 4))
+        keys.append(worker(i, tau, b, k, wi=draw(scores), gain=draw(scores)))
+    return keys, m
+
+
+class TestMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(slot_states())
+    def test_array_selection_is_oracle_prefix(self, state):
+        keys, m = state
+        arrays = as_slot_keys(keys)
+        for kind in PolicyKind:
+            got = policies.ranked(kind, arrays, m).tolist()
+            assert len(got) == m and len(set(got)) == m
+            assert all(0 <= u < len(keys) for u in got)
+            assert got == ranked(keys, kind)[:m], kind
+            assert policies.select(kind, arrays, m).selected == frozenset(got)
+
+    def test_exact_slack_beyond_int64_lcm(self):
+        # capacities whose lcm exceeds 2**31 take the Python-integer path
+        caps = [29, 31, 37, 41, 43, 47, 53]
+        keys = [worker(i, 9 - i, 5 + 3 * i, k) for i, k in enumerate(caps)]
+        for kind in (PolicyKind.LST, PolicyKind.STLW_WI):
+            got = policies.ranked(kind, as_slot_keys(keys), 4).tolist()
+            assert got == ranked(keys, kind)[:4]
