@@ -1,16 +1,16 @@
 """Whittle-index task offloading for large-scale edge computing.
 
 Core pieces: the physical energy/channel model (:mod:`edgebandit.mec`),
-the per-arm task dynamics (:mod:`edgebandit.dynamics`), the Whittle
-index with its independent MDP oracle and the relaxed performance bound
-(:mod:`edgebandit.whittle`), the selection policies
-(:mod:`edgebandit.policies`), online estimators of unknown savings
-(:mod:`edgebandit.learning`), and the experiment harness
+the arm dynamics as one array step over every user
+(:mod:`edgebandit.dynamics`), the Whittle index with its independent MDP
+oracle and the relaxed performance bound (:mod:`edgebandit.whittle`), the
+selection policies (:mod:`edgebandit.policies`), online estimators of
+unknown savings (:mod:`edgebandit.learning`), and the experiment harness
 (:mod:`edgebandit.harness`).
 """
 
 from .config import ConfigError, ExperimentCell, SimConfig, preset_cells
-from .dynamics import IDLE, ActionVector, PenaltyFn, SystemState, TaskGenerator, TaskSpec, TaskState
+from .dynamics import ActionVector, PenaltyFn, TaskGenerator, TaskState
 from .harness import (
     RunRecord,
     build_scenario,
@@ -20,17 +20,16 @@ from .harness import (
     run_experiment,
 )
 from .learning import NIGParams, PriorSpec, nig_posterior, nig_sample
-from .mec import ChannelEnvironment, EnergyFigures, UserProfile
+from .mec import ChannelEnvironment, UserProfile
 from .policies import PolicyKind, select, slot_keys
 from .whittle import (
     ArmChain,
-    IndexInput,
     SubsidizedArmMDP,
     indexability_check,
     relaxed_upper_bound,
     single_arm_value_iteration,
     subsidy_threshold,
-    whittle_index,
+    whittle_index_array,
 )
 
 __version__ = "0.1.0"

@@ -1,33 +1,30 @@
-"""Per-arm task state, stochastic task generation, transitions, and reward.
+"""Per-arm task state, the deadline penalty, stochastic task generation,
+and the one-slot reward and state update over every user at once.
 
 The arm state is ``(tau, backlog)``: slots remaining until the current
 task's deadline and its unfinished subtasks.  The idle state is exactly
 ``(0, 0)``.  State evolves every slot whether or not the user is selected
 (the user always processes one subtask locally; the server processes
-``capacity`` subtasks when selected).
+``capacity`` subtasks when selected).  Per-user states live in arrays;
+:func:`step` advances them all one slot, and the caller draws the next
+task of every user it leaves at ``(0, 0)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "TaskState",
-    "IDLE",
-    "TaskSpec",
     "PenaltyFn",
-    "SystemState",
     "ActionVector",
     "TaskGenerator",
-    "CompletionEvent",
-    "StepWorld",
-    "transition",
-    "generate_task",
+    "SlotStep",
     "reward",
-    "step_system",
+    "step",
 ]
 
 
@@ -47,23 +44,6 @@ class TaskState:
     @property
     def idle(self) -> bool:
         return self.tau == 0
-
-
-IDLE = TaskState(0, 0)
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """One generated task: size, arrival slot, and deadline slot."""
-
-    total_subtasks: int
-    arrival_slot: int
-    deadline_slot: int
-    task_id: int
-
-    @property
-    def duration(self) -> int:
-        return self.deadline_slot - self.arrival_slot + 1
 
 
 @dataclass(frozen=True)
@@ -106,18 +86,6 @@ class PenaltyFn:
 
 
 @dataclass(frozen=True)
-class SystemState:
-    """Joint state of all users at one slot."""
-
-    per_user: tuple[TaskState, ...]
-    slot: int
-
-    def __post_init__(self) -> None:
-        if self.slot < 0:
-            raise ValueError("slot must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ActionVector:
     """Set of user indices selected for offloading this slot."""
 
@@ -133,7 +101,7 @@ class ActionVector:
 
 @dataclass
 class TaskGenerator:
-    """Draws arrival events and new task specs for one user.
+    """Draws arrival events and new tasks for one user.
 
     Default distributions are uniform over {1..max_duration} slots and
     {1..max_task_size} subtasks; both are pluggable.  ``duration_dist``
@@ -146,12 +114,12 @@ class TaskGenerator:
     max_task_size: int
     duration_dist: Optional[Callable[[np.random.Generator], int]] = None
     size_dist: Optional[Callable[[np.random.Generator, int], int]] = None
-    _next_task_id: int = field(default=0, repr=False)
 
     def maybe_arrival(self, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.arrival_prob)
 
-    def draw(self, rng: np.random.Generator, current_slot: int) -> TaskSpec:
+    def draw(self, rng: np.random.Generator) -> tuple[int, int]:
+        """A new task's ``(duration, size)``: its tau at arrival and its backlog."""
         if self.duration_dist is not None:
             duration = int(self.duration_dist(rng))
         else:
@@ -160,116 +128,51 @@ class TaskGenerator:
             size = int(self.size_dist(rng, duration))
         else:
             size = int(rng.integers(1, self.max_task_size + 1))
-        spec = TaskSpec(
-            total_subtasks=size,
-            arrival_slot=current_slot,
-            deadline_slot=current_slot + duration - 1,
-            task_id=self._next_task_id,
-        )
-        self._next_task_id += 1
-        return spec
+        return duration, size
 
 
-def generate_task(gen: TaskGenerator, rng: np.random.Generator, current_slot: int) -> TaskSpec:
-    """Draw a new task arriving at ``current_slot``."""
-    return gen.draw(rng, current_slot)
+def _leftover(backlog, action, capacity):
+    # subtasks still unfinished after this slot's service
+    return np.maximum(backlog - capacity * action - (1 - action), 0)
 
 
-def transition(
-    state: TaskState,
-    action: int,
-    capacity: int,
-    gen: TaskGenerator,
-    rng: np.random.Generator,
-) -> TaskState:
-    """One-slot state update for a single arm.
+def reward(tau, backlog, action, e_saving, capacity, penalty: PenaltyFn) -> np.ndarray:
+    """Per-slot reward of every user: the energy saving when offloading,
+    minus the penalty on subtasks left unfinished at the deadline.
+
+    Arguments are per-user arrays (or scalars, which broadcast); ``action``
+    is 1 where the user offloads and 0 where it does not.
+    """
+    earned = e_saving * action
+    return np.where(
+        backlog > 0,
+        np.where(tau > 1, earned, earned - penalty.values(_leftover(backlog, action, capacity))),
+        0.0,
+    )
+
+
+class SlotStep(NamedTuple):
+    """One slot of every arm: rewards, leftovers and the next states."""
+
+    reward: np.ndarray
+    leftover: np.ndarray  # unfinished after this slot; the deadline charges it where tau was 1
+    tau: np.ndarray
+    backlog: np.ndarray
+
+
+def step(tau, backlog, action, e_saving, capacity, penalty: PenaltyFn) -> SlotStep:
+    """Advance every arm one slot, before arrivals.
 
     While a task has at least two slots left, the deadline counter drops by
     one and the backlog drops by ``capacity`` (selected) or 1 (not selected),
-    clamped at zero.  When the deadline expires (tau <= 1), a fresh task
-    arrives with the generator's arrival probability, else the arm idles.
+    clamped at zero.  Every other user (its deadline expires now, or it is
+    idle) comes out at ``(0, 0)``; the caller then draws its next task.
     """
-    if state.tau >= 2:
-        drain = capacity if action else 1
-        return TaskState(state.tau - 1, max(state.backlog - drain, 0))
-    # tau <= 1: current task (if any) is removed at the end of this slot
-    if gen.maybe_arrival(rng):
-        spec = gen.draw(rng, current_slot=0)
-        # tau at arrival equals the drawn duration
-        return TaskState(spec.duration, spec.total_subtasks)
-    return IDLE
-
-
-def reward(
-    state: TaskState,
-    action: int,
-    e_saving: float,
-    capacity: int,
-    penalty: PenaltyFn,
-) -> float:
-    """Per-slot reward: energy saving when offloading, minus the penalty on
-    subtasks left unfinished at the deadline."""
-    if state.backlog > 0 and state.tau > 1:
-        return e_saving * action
-    if state.backlog > 0 and state.tau == 1:
-        leftover = max(state.backlog - capacity * action - (1 - action), 0)
-        return e_saving * action - penalty(leftover)
-    return 0.0
-
-
-@dataclass(frozen=True)
-class CompletionEvent:
-    """Deadline expiry outcome for one user's task."""
-
-    user: int
-    slot: int
-    completed: bool
-    leftover: int
-
-
-@dataclass
-class StepWorld:
-    """Everything :func:`step_system` needs about the environment."""
-
-    capacities: Sequence[int]
-    e_savings: Sequence[float]
-    gens: Sequence[TaskGenerator]
-    rngs: Sequence[np.random.Generator]
-    penalty: PenaltyFn
-    num_servers: int
-
-
-def step_system(
-    state: SystemState,
-    action: ActionVector,
-    world: StepWorld,
-) -> tuple[SystemState, np.ndarray, list[CompletionEvent]]:
-    """Advance every arm one slot.
-
-    Returns the next system state, the per-user reward vector, and a
-    completion/violation event for each task whose deadline expired this
-    slot.  Raises ValueError if the action does not select exactly the
-    configured number of servers.
-    """
-    n = len(state.per_user)
-    if len(action.selected) != world.num_servers:
-        raise ValueError(
-            f"action selects {len(action.selected)} users, expected {world.num_servers}"
-        )
-    if any(u < 0 or u >= n for u in action.selected):
-        raise ValueError("action contains out-of-range user index")
-
-    rewards = np.zeros(n)
-    events: list[CompletionEvent] = []
-    nxt: list[TaskState] = []
-    for i, s in enumerate(state.per_user):
-        u = 1 if i in action.selected else 0
-        k = world.capacities[i]
-        rewards[i] = reward(s, u, world.e_savings[i], k, world.penalty)
-        if s.tau == 1:
-            leftover = max(s.backlog - k * u - (1 - u), 0)
-            events.append(
-                CompletionEvent(user=i, slot=state.slot, completed=leftover == 0, leftover=leftover)
-            )
-        nxt.append(transition(s, u, k, world.gens[i], world.rngs[i]))
-    return SystemState(per_user=tuple(nxt), slot=state.slot + 1), rewards, events
+    leftover = _leftover(backlog, action, capacity)
+    running = tau >= 2
+    return SlotStep(
+        reward(tau, backlog, action, e_saving, capacity, penalty),
+        leftover,
+        np.where(running, tau - 1, 0),
+        np.where(running, leftover, 0),
+    )

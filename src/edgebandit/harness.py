@@ -24,7 +24,7 @@ from scipy.special import gammaln
 
 from . import mec
 from .config import ConfigError, ExperimentCell, SimConfig
-from .dynamics import TaskGenerator
+from .dynamics import TaskGenerator, reward, step
 from .learning import (
     BayesWhittleEstimator,
     MleWhittleEstimator,
@@ -318,6 +318,9 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
 
     tau = np.zeros(n, dtype=np.int64)
     backlog = np.zeros(n, dtype=np.int64)
+    # only the index policies rank by the index; the others get zeros
+    index_policy = kind in (PolicyKind.WI, PolicyKind.STLW_WI)
+    wi = np.zeros(n)
     esav_true = np.full(n, np.nan)
     if cfg.fading_period_slots > 0:
         # block savings exist from the start, even before the first task
@@ -351,33 +354,19 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
                     f"{t},{i},{est_vals[i]:.17g},{truth[i]:.17g}" for i in range(n)
                 )
 
-        wi = whittle_index_array(tau, backlog, esav_ranking, caps, beta, penalty)
-        # immediate advantage of acting: reward(s,1) - reward(s,0)
-        leftover_act = np.maximum(backlog - caps, 0)
-        leftover_pas = np.maximum(backlog - 1, 0)
-        gain = np.where(
-            (backlog > 0) & (tau > 1),
-            esav_ranking,
-            np.where(
-                (backlog > 0) & (tau == 1),
-                esav_ranking - penalty.values(leftover_act) + penalty.values(leftover_pas),
-                0.0,
-            ),
-        )
+        if index_policy:
+            wi = whittle_index_array(tau, backlog, esav_ranking, caps, beta, penalty)
+        # greedy's immediate advantage of acting: reward(s, 1) - reward(s, 0)
+        gain = reward(tau, backlog, 1, esav_ranking, caps, penalty)
+        gain -= reward(tau, backlog, 0, esav_ranking, caps, penalty)
         action = select(kind, slot_keys(tau, backlog, caps, wi, gain), m)
         sel = np.zeros(n, dtype=np.int64)
         sel[list(action.selected)] = 1
 
         # rewards use the true savings regardless of what the policy knows
         esav_reward = np.nan_to_num(esav_true)
-        leftover = np.maximum(backlog - caps * sel - (1 - sel), 0)
-        pen_vals = penalty.values(leftover)
-        r = np.where(
-            backlog > 0,
-            np.where(tau > 1, esav_reward * sel, esav_reward * sel - pen_vals),
-            0.0,
-        )
-        slot_reward = float(r.sum())
+        slot = step(tau, backlog, sel, esav_reward, caps, penalty)
+        slot_reward = float(slot.reward.sum())
         discounted += beta**t * slot_reward
         max_abs_slot_reward = max(max_abs_slot_reward, abs(slot_reward))
         offloading = (sel == 1) & (backlog > 0)
@@ -385,7 +374,7 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
 
         ended = tau == 1
         deadline_tasks += int(ended.sum())
-        completed_tasks += int((ended & (leftover == 0)).sum())
+        completed_tasks += int((ended & (slot.leftover == 0)).sum())
 
         if learner is not None:
             users = np.nonzero(offloading)[0]
@@ -401,22 +390,14 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
                 else:
                     learner.update(users, obs)
 
-        # state transition: countdown while running, arrival draw at the end
-        running = tau >= 2
-        backlog = np.where(running, np.maximum(backlog - np.where(sel == 1, caps, 1), 0), backlog)
-        tau = np.where(running, tau - 1, tau)
+        tau, backlog = slot.tau, slot.backlog
         arrived = []
-        for i in np.nonzero(~running)[0]:
+        for i in np.flatnonzero(tau == 0):
             if gens[i].maybe_arrival(task_rngs[i]):
-                spec = gens[i].draw(task_rngs[i], current_slot=t + 1)
-                tau[i] = spec.duration
-                backlog[i] = spec.total_subtasks
+                tau[i], backlog[i] = gens[i].draw(task_rngs[i])
                 if cfg.fading_period_slots == 0:
                     esav_true[i] = savings.draw(i)
                     arrived.append(i)
-            else:
-                tau[i] = 0
-                backlog[i] = 0
         if learner is not None and arrived:
             learner.reset(np.array(arrived))
 
@@ -518,13 +499,7 @@ def compute_relaxed_bound(cfg: SimConfig, seed: int, horizon: Optional[int] = -1
     chains = build_arm_chains(cfg, seed)
     if horizon == -1:
         horizon = cfg.horizon
-    return relaxed_upper_bound(
-        chains,
-        cfg.num_servers,
-        cfg.discount,
-        horizon=horizon,
-        literal_penalty=cfg.relaxed_bound_literal,
-    )
+    return relaxed_upper_bound(chains, cfg.num_servers, cfg.discount, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

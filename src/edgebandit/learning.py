@@ -23,8 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import PenaltyFn, TaskState
-from .whittle import IndexInput, whittle_index
 
 __all__ = [
     "NoiseModel",
@@ -33,7 +31,6 @@ __all__ = [
     "observe",
     "nig_posterior",
     "nig_sample",
-    "learned_index",
     "MleWhittleEstimator",
     "BayesWhittleEstimator",
     "PriorSwapWhittleEstimator",
@@ -158,26 +155,6 @@ class PriorSpec:
         if self.kind == "gaussian":
             return rng.normal(self.location, math.sqrt(self.scale), size=size)
         return rng.laplace(self.location, self.scale, size=size)
-
-
-def learned_index(
-    estimate: float,
-    state: TaskState,
-    capacity: int,
-    discount: float,
-    penalty: PenaltyFn,
-) -> float:
-    """Exact Whittle index with the estimated saving in place of the truth
-    (a negative estimate is priced exactly as well)."""
-    return whittle_index(
-        IndexInput(
-            state=state,
-            e_saving=estimate,
-            capacity=capacity,
-            discount=discount,
-            penalty=penalty,
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional
 __all__ = [
     "UserProfile",
     "ChannelEnvironment",
-    "EnergyFigures",
     "OffloadEnergy",
     "dbm_to_watts",
     "db_to_linear",
@@ -114,33 +113,6 @@ class OffloadEnergy(NamedTuple):
 
     energy: float
     tx_time: float
-
-
-@dataclass(frozen=True)
-class EnergyFigures:
-    """Per-task energy bookkeeping for one user.
-
-    ``e_saving`` is definitionally ``offload_capacity * e_local - e_offload``;
-    use :meth:`from_parts` so the identity holds exactly.
-    """
-
-    e_local: float
-    e_offload: float
-    e_saving: float
-    offload_capacity: int
-
-    @classmethod
-    def from_parts(cls, e_local: float, e_offload: float, capacity: int) -> "EnergyFigures":
-        if e_local < 0 or e_offload < 0:
-            raise ValueError("energies must be nonnegative")
-        if capacity < 1:
-            raise ValueError("offload_capacity must be >= 1")
-        return cls(
-            e_local=e_local,
-            e_offload=e_offload,
-            e_saving=energy_saving(e_local, e_offload, capacity),
-            offload_capacity=capacity,
-        )
 
 
 def local_energy_per_subtask(profile: UserProfile, model: str = "eq1") -> float:

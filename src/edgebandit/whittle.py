@@ -21,9 +21,7 @@ import numpy as np
 from .dynamics import PenaltyFn, TaskState
 
 __all__ = [
-    "IndexInput",
     "SubsidizedArmMDP",
-    "whittle_index",
     "whittle_index_array",
     "single_arm_value_iteration",
     "subsidy_threshold",
@@ -39,37 +37,6 @@ __all__ = [
 # 1e-6 index-vs-oracle equivalence assertions.
 THRESHOLD_TOL = 1e-9
 VALUE_ITER_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class IndexInput:
-    """Operands of the index for one arm state."""
-
-    state: TaskState
-    e_saving: float
-    capacity: int
-    discount: float
-    penalty: PenaltyFn
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must lie in (0, 1)")
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-
-
-def whittle_index(inp: IndexInput) -> float:
-    """Exact Whittle index of one task state; see :func:`whittle_index_array`."""
-    return float(
-        whittle_index_array(
-            np.array([inp.state.tau]),
-            np.array([inp.state.backlog]),
-            np.array([inp.e_saving]),
-            np.array([inp.capacity]),
-            inp.discount,
-            inp.penalty,
-        )[0]
-    )
 
 
 # Least table extents: the default task limits (10 slots, 30 subtasks), so
@@ -204,9 +171,9 @@ def whittle_index_array(
     saving whose e plus the table is not positive gives an index between e
     and 0, where finishing early itself earns subsidy; such states are
     solved per state from the cached schedule lines.  The shift by e needs
-    discount < 1, which ``IndexInput``, ``SubsidizedArmMDP`` and
-    ``SimConfig`` require: with discount 1 schedules could tie on a whole
-    interval of subsidies, whose least point can lie below e plus the table.
+    discount < 1, which ``SubsidizedArmMDP`` and ``SimConfig`` require:
+    with discount 1 schedules could tie on a whole interval of subsidies,
+    whose least point can lie below e plus the table.
     """
     tau, b, e, k = np.broadcast_arrays(
         np.asarray(tau, dtype=np.int64),
@@ -706,7 +673,6 @@ def relaxed_upper_bound(
     num_servers: int,
     discount: float,
     horizon: Optional[int] = None,
-    literal_penalty: bool = False,
     refine_tol: float = 1e-6,
 ) -> float:
     """Upper bound on any feasible policy's expected discounted reward.
@@ -726,8 +692,7 @@ def relaxed_upper_bound(
     returned; by weak duality every g(delta) is an upper bound, whatever
     the search accuracy.  With ``horizon`` set, the value functions account
     for episode truncation exactly, so the bound dominates finite-run
-    rewards even when per-slot rewards are negative.  ``literal_penalty``
-    drops the discounted-horizon factor from the subsidy term.
+    rewards even when per-slot rewards are negative.
     """
     n = len(arms)
     if n == 0:
@@ -740,9 +705,7 @@ def relaxed_upper_bound(
         # subsidy term vanishes; the infimum is the always-active value
         return _chain_values(arms, 0.0, discount, horizon, force_active=True)
 
-    if literal_penalty:
-        slope = float(n - num_servers)
-    elif horizon is None:
+    if horizon is None:
         slope = (n - num_servers) / (1.0 - discount)
     else:
         slope = (n - num_servers) * (1.0 - discount**horizon) / (1.0 - discount)

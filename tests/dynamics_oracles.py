@@ -1,0 +1,154 @@
+"""Reference implementation of the arm dynamics, for tests only.
+
+This is the per-user-object form that the array step in
+``edgebandit.dynamics`` replaced: a frozen ``TaskState`` per user, a scalar
+reward and transition, and a system step that loops over the users and
+reports one event per expired deadline.  Tests check the array step and
+the simulation harness against it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from edgebandit.dynamics import ActionVector, PenaltyFn, TaskGenerator, TaskState
+
+IDLE = TaskState(0, 0)
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """One generated task: size, arrival slot, and deadline slot."""
+
+    total_subtasks: int
+    arrival_slot: int
+    deadline_slot: int
+
+    @property
+    def duration(self) -> int:
+        return self.deadline_slot - self.arrival_slot + 1
+
+
+def generate_task(gen: TaskGenerator, rng: np.random.Generator, current_slot: int) -> TaskSpec:
+    """Draw a new task arriving at ``current_slot``."""
+    duration, size = gen.draw(rng)
+    return TaskSpec(
+        total_subtasks=size,
+        arrival_slot=current_slot,
+        deadline_slot=current_slot + duration - 1,
+    )
+
+
+def transition(
+    state: TaskState,
+    action: int,
+    capacity: int,
+    gen: TaskGenerator,
+    rng: np.random.Generator,
+) -> TaskState:
+    """One-slot state update for a single arm.
+
+    While a task has at least two slots left, the deadline counter drops by
+    one and the backlog drops by ``capacity`` (selected) or 1 (not selected),
+    clamped at zero.  When the deadline expires (tau <= 1), a fresh task
+    arrives with the generator's arrival probability, else the arm idles.
+    """
+    if state.tau >= 2:
+        drain = capacity if action else 1
+        return TaskState(state.tau - 1, max(state.backlog - drain, 0))
+    # tau <= 1: current task (if any) is removed at the end of this slot
+    if gen.maybe_arrival(rng):
+        spec = generate_task(gen, rng, current_slot=0)
+        # tau at arrival equals the drawn duration
+        return TaskState(spec.duration, spec.total_subtasks)
+    return IDLE
+
+
+def reward(
+    state: TaskState,
+    action: int,
+    e_saving: float,
+    capacity: int,
+    penalty: PenaltyFn,
+) -> float:
+    """Per-slot reward: energy saving when offloading, minus the penalty on
+    subtasks left unfinished at the deadline."""
+    if state.backlog > 0 and state.tau > 1:
+        return e_saving * action
+    if state.backlog > 0 and state.tau == 1:
+        leftover = max(state.backlog - capacity * action - (1 - action), 0)
+        return e_saving * action - penalty(leftover)
+    return 0.0
+
+
+@dataclass(frozen=True)
+class SystemState:
+    """Joint state of all users at one slot."""
+
+    per_user: tuple[TaskState, ...]
+    slot: int
+
+    def __post_init__(self) -> None:
+        if self.slot < 0:
+            raise ValueError("slot must be nonnegative")
+
+
+@dataclass(frozen=True)
+class CompletionEvent:
+    """Deadline expiry outcome for one user's task."""
+
+    user: int
+    slot: int
+    completed: bool
+    leftover: int
+
+
+@dataclass
+class StepWorld:
+    """Everything :func:`step_system` needs about the environment."""
+
+    capacities: Sequence[int]
+    e_savings: Sequence[float]
+    gens: Sequence[TaskGenerator]
+    rngs: Sequence[np.random.Generator]
+    penalty: PenaltyFn
+    num_servers: int
+
+
+def step_system(
+    state: SystemState,
+    action: ActionVector,
+    world: StepWorld,
+) -> tuple[SystemState, np.ndarray, list[CompletionEvent]]:
+    """Advance every arm one slot.
+
+    Returns the next system state, the per-user reward vector, and a
+    completion/violation event for each task whose deadline expired this
+    slot.  Raises ValueError if the action does not select exactly the
+    configured number of servers.
+    """
+    n = len(state.per_user)
+    if len(action.selected) != world.num_servers:
+        raise ValueError(
+            f"action selects {len(action.selected)} users, expected {world.num_servers}"
+        )
+    if any(u < 0 or u >= n for u in action.selected):
+        raise ValueError("action contains out-of-range user index")
+
+    rewards = np.zeros(n)
+    events: list[CompletionEvent] = []
+    nxt: list[TaskState] = []
+    for i, s in enumerate(state.per_user):
+        u = 1 if i in action.selected else 0
+        k = world.capacities[i]
+        rewards[i] = reward(s, u, world.e_savings[i], k, world.penalty)
+        if s.tau == 1:
+            leftover = max(s.backlog - k * u - (1 - u), 0)
+            events.append(
+                CompletionEvent(user=i, slot=state.slot, completed=leftover == 0, leftover=leftover)
+            )
+        nxt.append(transition(s, u, k, world.gens[i], world.rngs[i]))
+    return SystemState(per_user=tuple(nxt), slot=state.slot + 1), rewards, events

@@ -40,6 +40,12 @@ def test_simulate_policy_flag(tmp_path):
     assert read_csv(out)[0].policy == "edf"
 
 
+def test_simulate_defaults(tmp_path):
+    out = tmp_path / "records.csv"
+    assert main(["simulate", "--seeds", "1", "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 1
+
+
 def test_simulate_invalid_config_exits_2(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("num_servers = 9999\n")

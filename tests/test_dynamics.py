@@ -1,24 +1,30 @@
-"""Arm-state dynamics: transitions, rewards, slack, and the system step."""
+"""Arm-state dynamics: transitions, rewards, slack, and the system step.
 
+The scalar transitions and the system step are the reference forms in
+``dynamics_oracles``; the array step the harness runs is checked against
+them on random slots.
+"""
+
+import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from policy_oracles import slack_time
-
-from edgebandit.dynamics import (
+from dynamics_oracles import (
     IDLE,
-    ActionVector,
-    PenaltyFn,
     StepWorld,
     SystemState,
-    TaskGenerator,
-    TaskState,
     generate_task,
     reward,
     step_system,
     transition,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from policy_oracles import slack_time
+
+from edgebandit import dynamics
+from edgebandit.dynamics import ActionVector, PenaltyFn, TaskGenerator, TaskState
 
 
 def rng(seed=0):
@@ -125,7 +131,7 @@ class TestGenerateTask:
         g = gen(dur=10, size=30)
         r = rng(7)
         n = 100_000
-        durs = np.array([g.draw(r, 0).duration for _ in range(n)])
+        durs = np.array([generate_task(g, r, 0).duration for _ in range(n)])
         # U{1..10}: mean 5.5, sd sqrt(99/12)
         sd_mean = np.sqrt(99 / 12) / np.sqrt(n)
         assert abs(durs.mean() - 5.5) < 3 * sd_mean
@@ -139,7 +145,7 @@ class TestGenerateTask:
         )
         r = rng(5)
         for _ in range(500):
-            spec = g.draw(r, 0)
+            spec = generate_task(g, r, 0)
             assert spec.total_subtasks <= 2 * spec.duration
 
 
@@ -264,3 +270,48 @@ class TestStepSystem:
         assert len(events) == 2
         done = {e.user: e.completed for e in events}
         assert done[0] is True and done[1] is False
+
+
+@st.composite
+def slots(draw):
+    """One random slot: N users in valid states, M of them selected."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, n))
+    taus = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+    backlogs = [draw(st.integers(0, 30)) if t else 0 for t in taus]
+    caps = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    savings = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    selected = draw(st.permutations(range(n)))[:m]
+    form = draw(st.sampled_from([PenaltyFn.theory, PenaltyFn.experiment]))
+    penalty = form(draw(st.floats(0.0, 10.0)))
+    arrival_probs = draw(st.lists(st.sampled_from([0.0, 0.7, 1.0]), min_size=n, max_size=n))
+    gens = [TaskGenerator(arrival_prob=q, max_duration=10, max_task_size=30) for q in arrival_probs]
+    rngs = [np.random.default_rng([draw(st.integers(0, 2**32 - 1)), i]) for i in range(n)]
+    return taus, backlogs, caps, savings, selected, penalty, gens, rngs
+
+
+class TestArrayStep:
+    @given(slots())
+    @settings(max_examples=300, deadline=None)
+    def test_array_step_matches_oracle(self, slot):
+        taus, backlogs, caps, savings, selected, penalty, gens, rngs = slot
+        n, m = len(taus), len(selected)
+        state = SystemState(tuple(TaskState(t, b) for t, b in zip(taus, backlogs)), slot=0)
+        world = StepWorld(caps, savings, gens, copy.deepcopy(rngs), penalty, num_servers=m)
+        nxt, rewards, events = step_system(state, ActionVector.of(selected), world)
+
+        action = np.zeros(n, dtype=np.int64)
+        action[selected] = 1
+        tau = np.array(taus, dtype=np.int64)
+        backlog = np.array(backlogs, dtype=np.int64)
+        out = dynamics.step(tau, backlog, action, np.array(savings), np.array(caps), penalty)
+        assert out.reward.tobytes() == rewards.tobytes()
+        ended = np.flatnonzero(tau == 1)
+        assert [(e.user, e.completed, e.leftover) for e in events] == [
+            (i, out.leftover[i] == 0, out.leftover[i]) for i in ended.tolist()
+        ]
+        # the next task of every user the step left at (0, 0), as the harness draws it
+        for i in np.flatnonzero(out.tau == 0):
+            if gens[i].maybe_arrival(rngs[i]):
+                out.tau[i], out.backlog[i] = gens[i].draw(rngs[i])
+        assert nxt.per_user == tuple(map(TaskState, out.tau.tolist(), out.backlog.tolist()))

@@ -1,12 +1,17 @@
 """Harness tests: scenario validation, episode determinism, paired
-randomness, experiment sweeps, and CSV round-trips."""
+randomness, the episode against the reference dynamics, experiment
+sweeps, and CSV round-trips."""
 
 import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from dynamics_oracles import IDLE, StepWorld, SystemState, step_system
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgebandit import harness
 from edgebandit.config import (
     ConfigError,
     ExperimentCell,
@@ -18,6 +23,8 @@ from edgebandit.config import (
 from edgebandit.harness import (
     RunRecord,
     _run_episode_full,
+    _stream,
+    _task_generator,
     build_scenario,
     compute_relaxed_bound,
     emit_csv,
@@ -25,6 +32,7 @@ from edgebandit.harness import (
     run_episode,
     run_experiment,
 )
+from edgebandit.dynamics import TaskState
 
 FAST = {
     "num_users": 12,
@@ -69,6 +77,10 @@ class TestScenario:
     def test_slot_length_violation_is_config_error(self):
         with pytest.raises(ConfigError, match="transmit time"):
             build_scenario(cfg(slot_length=1e-6), 0)
+
+    def test_defaults_run(self):
+        rec = run_episode(SimConfig(), 0)
+        assert rec.num_users == 100 and rec.policy == "wi"
 
 
 class TestEpisode:
@@ -146,6 +158,85 @@ class TestEpisode:
         _, info = _run_episode_full(cfg(), 0)
         expected = info.max_abs_slot_reward * 0.99**60 / 0.01
         assert info.reward_tail_bound == pytest.approx(expected)
+
+
+def record_episode(c: SimConfig, seed: int):
+    """Run one episode, recording each slot's (tau, backlog, action) at the
+    harness's call to ``select``."""
+    slots = []
+    real = harness.select
+
+    def recording(kind, keys, num_servers):
+        action = real(kind, keys, num_servers)
+        slots.append((keys.tau.copy(), keys.backlog.copy(), action))
+        return action
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "select", recording)
+        _, info = _run_episode_full(c, seed)
+    return slots, info
+
+
+def replay_events(c: SimConfig, seed: int, slots) -> list:
+    """Step the reference dynamics along the recorded actions, on fresh
+    copies of the episode's task streams; check the recorded state at every
+    slot and return the deadline events."""
+    caps = build_scenario(c, seed).capacities
+    n = c.num_users
+    world = StepWorld(
+        capacities=caps.tolist(),
+        e_savings=[0.0] * n,  # states and events do not depend on the savings
+        gens=[_task_generator(c, int(k)) for k in caps],
+        rngs=[_stream(c.master_seed, seed, 1, i) for i in range(n)],
+        penalty=c.penalty_fn(),
+        num_servers=c.num_servers,
+    )
+    state = SystemState((IDLE,) * n, slot=0)
+    events = []
+    for tau, backlog, action in slots:
+        assert state.per_user == tuple(map(TaskState, tau.tolist(), backlog.tolist()))
+        state, _, slot_events = step_system(state, action, world)
+        events += slot_events
+    return events
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(1, 12))
+    return cfg(
+        num_users=n,
+        num_servers=draw(st.integers(1, n)),
+        horizon=draw(st.integers(1, 30)),
+        policy=draw(st.sampled_from(["wi", "stlw-wi", "edf", "lst", "greedy"])),
+        estimator=draw(st.sampled_from(["known", "mle", "bl", "psbl"])),
+        penalty=draw(st.sampled_from(["experiment", "theory"])),
+        penalty_alpha=draw(st.sampled_from([0.001, 0.5, 5.0])),
+        arrival_prob=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        task_size_rule=draw(st.sampled_from(["uniform", "server-feasible", "offload-window"])),
+        fading_period_slots=draw(st.sampled_from([0, 5])),
+    )
+
+
+class TestEpisodeReplay:
+    @pytest.mark.parametrize("policy", ["wi", "stlw-wi", "edf", "lst", "greedy"])
+    def test_reference_dynamics_replay_episode(self, policy):
+        c = cfg(policy=policy)
+        slots, info = record_episode(c, 4)
+        assert len(slots) == c.horizon
+        assert len(replay_events(c, 4, slots)) == info.deadline_tasks > 0
+
+    @given(small_configs(), st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_episode_properties(self, c, seed):
+        slots, info = record_episode(c, seed)
+        for _, _, action in slots:
+            # a set of M in-range users: M distinct users
+            assert len(action.selected) == c.num_servers
+            assert all(0 <= u < c.num_users for u in action.selected)
+        events = replay_events(c, seed, slots)
+        assert info.deadline_tasks == sum(int((tau == 1).sum()) for tau, _, _ in slots)
+        assert info.deadline_tasks == len(events)
+        assert info.completed_tasks == sum(e.completed for e in events)
 
 
 class TestRelaxedBoundIntegration:
@@ -272,7 +363,6 @@ class TestConfigFile:
             policy = stlw-wi            # trailing comment
             discount = 0.95
             cpu_freq_choices = 2e8, 4e8
-            relaxed_bound_literal = true
             """
         )
         overrides = parse_config_file(path)
@@ -281,7 +371,6 @@ class TestConfigFile:
         assert c.policy == "stlw-wi"
         assert c.discount == 0.95
         assert c.cpu_freq_choices == (2e8, 4e8)
-        assert c.relaxed_bound_literal is True
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

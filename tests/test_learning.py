@@ -28,7 +28,7 @@ from learning_oracles import (
     prior_swap_logdensity,
 )
 
-from edgebandit.dynamics import PenaltyFn, TaskState
+from edgebandit.dynamics import PenaltyFn
 from edgebandit.harness import _PsblBatch
 from edgebandit.learning import (
     INIT_ESTIMATE,
@@ -39,12 +39,11 @@ from edgebandit.learning import (
     NoiseModel,
     PriorSpec,
     PriorSwapWhittleEstimator,
-    learned_index,
     nig_posterior,
     nig_sample,
     observe,
 )
-from edgebandit.whittle import IndexInput, whittle_index
+from edgebandit.whittle import whittle_index_array
 
 LAPLACE = PriorSpec("laplace", 1.0, 0.2)
 
@@ -579,17 +578,17 @@ class TestLearnedIndex:
 
     def test_initial_estimate_feeds_index(self):
         est = MleWhittleEstimator(1)
-        got = learned_index(est.estimate()[0], TaskState(3, 5), 4, 0.99, self.PEN)
-        want = whittle_index(IndexInput(TaskState(3, 5), 1.0, 4, 0.99, self.PEN))
+        got = whittle_index_array(3, 5, est.estimate()[0], 4, 0.99, self.PEN)
+        want = whittle_index_array(3, 5, 1.0, 4, 0.99, self.PEN)
         assert got == want
 
     def test_consistency_with_vanishing_noise(self):
         noise = NoiseModel(true_saving=2.2, noise_var=1e-12)
         r = rng(15)
         est = fed(MleWhittleEstimator(1), [observe(noise, r) for _ in range(50)])
-        got = learned_index(est.estimate()[0], TaskState(2, 7), 4, 0.9, PenaltyFn.theory(1.0))
-        want = whittle_index(IndexInput(TaskState(2, 7), 2.2, 4, 0.9, PenaltyFn.theory(1.0)))
+        got = whittle_index_array(2, 7, est.estimate()[0], 4, 0.9, PenaltyFn.theory(1.0))
+        want = whittle_index_array(2, 7, 2.2, 4, 0.9, PenaltyFn.theory(1.0))
         assert got == pytest.approx(want, abs=1e-5)
 
     def test_no_work_is_zero_regardless_of_estimate(self):
-        assert learned_index(123.4, TaskState(5, 0), 4, 0.99, self.PEN) == 0.0
+        assert whittle_index_array(5, 0, 123.4, 4, 0.99, self.PEN) == 0.0

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from edgebandit.mec import (
     ChannelEnvironment,
-    EnergyFigures,
     UserProfile,
     channel_gain,
     db_to_linear,
@@ -207,14 +206,7 @@ class TestEnergySaving:
 
 class TestEnergyFigures:
     def test_identity_exact(self):
-        fig = EnergyFigures.from_parts(e_local=1.25e-3, e_offload=3.7e-3, capacity=4)
-        assert fig.e_saving == 4 * 1.25e-3 - 3.7e-3
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            EnergyFigures.from_parts(-1.0, 0.0, 4)
-        with pytest.raises(ValueError):
-            EnergyFigures.from_parts(1.0, 0.0, 0)
+        assert energy_saving(e_local=1.25e-3, e_offload=3.7e-3, capacity=4) == 4 * 1.25e-3 - 3.7e-3
 
 
 class TestProfileValidation:

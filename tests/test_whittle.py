@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from edgebandit.dynamics import PenaltyFn, TaskState
 from edgebandit.whittle import (
     ArmChain,
-    IndexInput,
     SubsidizedArmMDP,
     arm_chain_value_reference,
     _chain_terms,
@@ -26,7 +25,6 @@ from edgebandit.whittle import (
     single_arm_value_iteration,
     subsidy_threshold,
     subsidy_threshold_table,
-    whittle_index,
     whittle_index_array,
 )
 
@@ -47,7 +45,7 @@ def mdp(**kw) -> SubsidizedArmMDP:
 
 
 def wi(tau, b, e=1.0, k=4, beta=0.9, penalty=THEORY1):
-    return whittle_index(IndexInput(TaskState(tau, b), e, k, beta, penalty))
+    return float(whittle_index_array(tau, b, e, k, beta, penalty))
 
 
 class TestClosedForm:
@@ -107,20 +105,18 @@ class TestClosedForm:
         ks = rng.integers(1, 10, 200)
         batch = whittle_index_array(taus, bs, es, ks, 0.95, pen)
         scalar = [
-            whittle_index(IndexInput(TaskState(int(t), int(b)), float(e), int(k), 0.95, pen))
+            wi(int(t), int(b), float(e), int(k), 0.95, pen)
             for t, b, e, k in zip(taus, bs, es, ks)
         ]
         np.testing.assert_allclose(batch, scalar, rtol=1e-13)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            IndexInput(TaskState(1, 1), 1.0, 0, 0.9, THEORY1)
+            mdp(capacity=0)
         with pytest.raises(ValueError):
-            IndexInput(TaskState(1, 1), 1.0, 4, 0.0, THEORY1)
+            mdp(discount=0.0)
 
     def test_discount_one_rejected(self):
-        with pytest.raises(ValueError, match=r"discount must lie in \(0, 1\)"):
-            IndexInput(TaskState(1, 1), 1.0, 4, 1.0, THEORY1)
         with pytest.raises(ValueError, match=r"discount must lie in \(0, 1\)"):
             mdp(discount=1.0)
 
