@@ -10,7 +10,7 @@ unknown savings (:mod:`edgebandit.learning`), and the experiment harness
 """
 
 from .config import ConfigError, ExperimentCell, SimConfig, preset_cells
-from .dynamics import ActionVector, PenaltyFn, TaskGenerator, TaskState
+from .dynamics import ActionVector, PenaltyFn, TaskGenerator
 from .harness import (
     RunRecord,
     build_scenario,
@@ -27,8 +27,6 @@ from .whittle import (
     SubsidizedArmMDP,
     indexability_check,
     relaxed_upper_bound,
-    single_arm_value_iteration,
-    subsidy_threshold,
     whittle_index_array,
 )
 

@@ -28,6 +28,7 @@ from .dynamics import PenaltyFn
 from .harness import emit_csv, run_experiment
 from .whittle import (
     SubsidizedArmMDP,
+    _bracket,
     indexability_check,
     subsidy_threshold_table,
     whittle_index_array,
@@ -151,7 +152,7 @@ def _cmd_check_indexability(args: argparse.Namespace) -> int:
             penalty=penalty,
             e_saving=float(rng.uniform(-2.0, 3.0)),
         )
-        width = 2.0 * (mdp.penalty(mdp.max_backlog) + abs(mdp.e_saving)) + 1.0
+        width = _bracket(mdp.penalty, mdp.max_backlog, abs(mdp.e_saving))
         grid = np.linspace(-width, width, args.grid_points)
         report = indexability_check(mdp, grid)
         status = "ok" if report else f"VIOLATION {report.violation}"

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "TaskState",
     "PenaltyFn",
     "ActionVector",
     "TaskGenerator",
@@ -26,24 +25,6 @@ __all__ = [
     "reward",
     "step",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class TaskState:
-    """Arm state: remaining slots to deadline and unfinished subtasks."""
-
-    tau: int
-    backlog: int
-
-    def __post_init__(self) -> None:
-        if self.tau < 0 or self.backlog < 0:
-            raise ValueError(f"negative state component: ({self.tau}, {self.backlog})")
-        if self.tau == 0 and self.backlog != 0:
-            raise ValueError("tau == 0 requires backlog == 0 (idle state)")
-
-    @property
-    def idle(self) -> bool:
-        return self.tau == 0
 
 
 @dataclass(frozen=True)
@@ -103,16 +84,15 @@ class ActionVector:
 class TaskGenerator:
     """Draws arrival events and new tasks for one user.
 
-    Default distributions are uniform over {1..max_duration} slots and
-    {1..max_task_size} subtasks; both are pluggable.  ``duration_dist``
-    takes the RNG; ``size_dist`` takes the RNG and the drawn duration, so
-    sizes may be conditioned on how long the task lives.
+    Durations are uniform over {1..max_duration} slots.  Sizes are uniform
+    over {1..max_task_size} subtasks unless ``size_dist`` is set; it takes
+    the RNG and the drawn duration, so sizes may be conditioned on how long
+    the task lives.
     """
 
     arrival_prob: float
     max_duration: int
     max_task_size: int
-    duration_dist: Optional[Callable[[np.random.Generator], int]] = None
     size_dist: Optional[Callable[[np.random.Generator, int], int]] = None
 
     def maybe_arrival(self, rng: np.random.Generator) -> bool:
@@ -120,10 +100,7 @@ class TaskGenerator:
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int]:
         """A new task's ``(duration, size)``: its tau at arrival and its backlog."""
-        if self.duration_dist is not None:
-            duration = int(self.duration_dist(rng))
-        else:
-            duration = int(rng.integers(1, self.max_duration + 1))
+        duration = int(rng.integers(1, self.max_duration + 1))
         if self.size_dist is not None:
             size = int(self.size_dist(rng, duration))
         else:

@@ -97,7 +97,8 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
     """Draw user profiles for one run and validate the whole configuration.
 
     Every validation failure is collected so the error lists all problems
-    at once, before any slot executes.
+    at once, before any slot executes.  An invalid channel environment
+    ends the checks there, because the per-user checks compute with it.
     """
     errors = cfg.validation_errors()
     rng = _stream(cfg.master_seed, seed, 0)
@@ -108,6 +109,10 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
         noise_density=mec.dbm_to_watts(cfg.noise_density_dbm),
         server_freq=cfg.server_freq,
     )
+    try:
+        env.validate()
+    except ValueError as exc:
+        raise ConfigError("; ".join([*errors, str(exc)])) from exc
 
     profiles = []
     capacities = np.zeros(cfg.num_users, dtype=np.int64)
@@ -202,28 +207,18 @@ def _task_generator(cfg: SimConfig, capacity: int) -> TaskGenerator:
     )
 
 
-class _SavingDraws:
-    """Per-user draws of the true per-block energy saving."""
-
-    def __init__(self, cfg: SimConfig, scn: Scenario, fading_rngs: list[np.random.Generator]):
-        self.cfg = cfg
-        self.scn = scn
-        self.rngs = fading_rngs
-
-    def draw(self, i: int) -> float:
-        cfg, scn = self.cfg, self.scn
-        if cfg.energy_truth == "channel":
-            kappa = self.rngs[i].exponential(1.0)
-            profile = scn.profiles[i]
-            gain = mec.channel_gain(scn.env, profile.distance, kappa)
-            rate = mec.transmission_rate(profile, gain, scn.env)
-            e_off = mec.offload_energy(profile, rate, int(scn.capacities[i])).energy
-            return mec.energy_saving(float(scn.e_locals[i]), e_off, int(scn.capacities[i]))
-        if cfg.energy_truth == "gaussian":
-            return float(
-                self.rngs[i].normal(cfg.truth_location, math.sqrt(cfg.truth_spread))
-            )
-        return float(self.rngs[i].laplace(cfg.truth_location, cfg.truth_spread))
+def _draw_saving(cfg: SimConfig, scn: Scenario, rng: np.random.Generator, i: int) -> float:
+    """One draw of user ``i``'s true per-block energy saving from its fading stream."""
+    if cfg.energy_truth == "channel":
+        kappa = rng.exponential(1.0)
+        profile = scn.profiles[i]
+        gain = mec.channel_gain(scn.env, profile.distance, kappa)
+        rate = mec.transmission_rate(profile, gain, scn.env)
+        e_off = mec.offload_energy(profile, rate, int(scn.capacities[i])).energy
+        return mec.energy_saving(float(scn.e_locals[i]), e_off, int(scn.capacities[i]))
+    if cfg.energy_truth == "gaussian":
+        return float(rng.normal(cfg.truth_location, math.sqrt(cfg.truth_spread)))
+    return float(rng.laplace(cfg.truth_location, cfg.truth_spread))
 
 
 class _PsblBatch:
@@ -311,7 +306,6 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     noise_rngs = [_stream(cfg.master_seed, seed, 3, i) for i in range(n)]
     policy_rng = _stream(cfg.master_seed, seed, 4)
     gens = [_task_generator(cfg, int(caps[i])) for i in range(n)]
-    savings = _SavingDraws(cfg, scn, fading_rngs)
 
     learner = _learner(cfg, n)
     psbl = _PsblBatch(learner) if cfg.estimator == "psbl" else None
@@ -324,7 +318,7 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     esav_true = np.full(n, np.nan)
     if cfg.fading_period_slots > 0:
         # block savings exist from the start, even before the first task
-        esav_true = np.array([savings.draw(i) for i in range(n)])
+        esav_true = np.array([_draw_saving(cfg, scn, fading_rngs[i], i) for i in range(n)])
 
     discounted = 0.0
     realized_saving = 0.0
@@ -337,7 +331,7 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
 
     for t in range(horizon):
         if cfg.fading_period_slots > 0 and t > 0 and t % cfg.fading_period_slots == 0:
-            esav_true = np.array([savings.draw(i) for i in range(n)])
+            esav_true = np.array([_draw_saving(cfg, scn, fading_rngs[i], i) for i in range(n)])
             if learner is not None:
                 learner.reset()
 
@@ -396,7 +390,7 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
             if gens[i].maybe_arrival(task_rngs[i]):
                 tau[i], backlog[i] = gens[i].draw(task_rngs[i])
                 if cfg.fading_period_slots == 0:
-                    esav_true[i] = savings.draw(i)
+                    esav_true[i] = _draw_saving(cfg, scn, fading_rngs[i], i)
                     arrived.append(i)
         if learner is not None and arrived:
             learner.reset(np.array(arrived))

@@ -151,11 +151,6 @@ class PriorSpec:
             return _normal_logpdf(saving, self.location, self.scale)
         return -np.abs(np.asarray(saving) - self.location) / self.scale - math.log(2.0 * self.scale)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if self.kind == "gaussian":
-            return rng.normal(self.location, math.sqrt(self.scale), size=size)
-        return rng.laplace(self.location, self.scale, size=size)
-
 
 # ---------------------------------------------------------------------------
 # Learners over all users, as used by the simulation harness

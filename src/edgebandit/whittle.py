@@ -7,6 +7,13 @@ index recovered as the least subsidy making the passive action optimal
 (binary search on the indifference point).  The index never calls the
 oracle and the oracle never looks at the index, so agreement between the
 two is evidence, not tautology.
+
+One within-task backward induction, :func:`_induction`, serves both the
+oracle and the indexability check (a batch of subsidies on its trailing
+axis) and the relaxed bound (one subsidy, a group of arms' saving samples
+on its trailing axis).  The bound's values are still checked against an
+independent value iteration over the joint recurrent chain, kept with the
+scalar threshold search in ``tests/whittle_oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,25 +25,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PenaltyFn, TaskState
+from .dynamics import PenaltyFn
 
 __all__ = [
     "SubsidizedArmMDP",
     "whittle_index_array",
-    "single_arm_value_iteration",
-    "subsidy_threshold",
     "subsidy_threshold_table",
     "IndexabilityReport",
     "indexability_check",
     "ArmChain",
-    "arm_chain_value_reference",
     "relaxed_upper_bound",
 ]
 
 # Bisection tolerance for the subsidy threshold; two orders tighter than the
 # 1e-6 index-vs-oracle equivalence assertions.
 THRESHOLD_TOL = 1e-9
-VALUE_ITER_TOL = 1e-10
 
 
 # Least table extents: the default task limits (10 slots, 30 subtasks), so
@@ -218,7 +221,6 @@ class SubsidizedArmMDP:
     discount: float
     penalty: PenaltyFn
     e_saving: float
-    subsidy: float = 0.0
 
     def __post_init__(self) -> None:
         if self.horizon < 0 or self.max_backlog < 0:
@@ -234,101 +236,85 @@ class SubsidizedArmMDP:
         mask[0, 1:] = False  # tau == 0 implies backlog == 0
         return mask
 
-    def passive_set(self, subsidy: float) -> np.ndarray:
-        """Flat boolean mask (over valid states) of passive-optimal states."""
-        passive, _ = _solve_arm(self, np.array([subsidy]))
-        return passive[0][self.valid_mask()]
+
+def _induction(
+    delta,
+    e,
+    capacity: int,
+    fpen: np.ndarray,
+    levels: int,
+    beta: float,
+    with_deadline: bool = True,
+    force_active: bool = False,
+):
+    """Backward induction of the subsidized arm within one task.
+
+    Yields ``(passive, value, derivative)`` for tau = 1..``levels``, each of
+    shape (backlog, X): backlog leads, so the passive and active successors
+    are row gathers, and the subsidy ``delta`` and saving ``e`` broadcast
+    over the trailing axis X.  ``fpen`` is the penalty on 0..b_max.  The
+    continuation after the last slot is zero.  With ``with_deadline`` the
+    first level charges the non-completion penalty; without it the task is
+    cut off before its deadline.  Ties resolve to the passive action,
+    matching the infimum in the index definition; ``force_active`` acts
+    everywhere.  The derivative in the subsidy is the discounted number of
+    passive slots under the actions picked: each value is a max of
+    functions affine in the subsidy, so it is a subgradient at a kink.
+    """
+    b = np.arange(fpen.size)
+    has_work = (b > 0)[:, None]
+    idx_passive = np.maximum(b - 1, 0)
+    idx_active = np.maximum(b - capacity, 0)
+    shape = np.broadcast_shapes(has_work.shape, np.shape(delta), np.shape(e))
+    e_work = np.where(has_work, e, 0.0)
+    v = np.zeros(shape)
+    dv = np.zeros(shape)
+    for level in range(1, levels + 1):
+        if with_deadline and level == 1:
+            q0 = delta - np.where(has_work, fpen[idx_passive, None], 0.0)
+            q1 = e_work - np.where(has_work, fpen[idx_active, None], 0.0)
+            dq0, dq1 = 1.0, 0.0
+        else:
+            q0 = delta + beta * v[idx_passive]
+            q1 = e_work + beta * v[idx_active]
+            dq0 = 1.0 + beta * dv[idx_passive]
+            dq1 = beta * dv[idx_active]
+        passive = np.zeros(shape, dtype=bool) if force_active else q0 >= q1
+        v = np.where(passive, q0, q1)
+        dv = np.where(passive, dq0, dq1)
+        yield passive, v, dv
 
 
-def _solve_arm(
-    mdp: SubsidizedArmMDP, subsidies: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve_arm(mdp: SubsidizedArmMDP, subsidies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact backward induction of the subsidized arm for a batch of subsidies.
 
     Returns ``(passive, values)`` arrays of shape
-    ``(len(subsidies), horizon+1, max_backlog+1)``.  Ties resolve to the
-    passive action, matching the infimum in the index definition.
+    ``(len(subsidies), horizon+1, max_backlog+1)``.
     """
-    d = np.asarray(subsidies, dtype=np.float64)[:, None]  # (D, 1)
-    n_d = d.shape[0]
-    b_max, tau_max = mdp.max_backlog, mdp.horizon
-    k, beta, e = mdp.capacity, mdp.discount, mdp.e_saving
-    fpen = mdp.penalty.table(b_max)
-    b = np.arange(b_max + 1)
-    has_work = b > 0
-    idx_passive = np.maximum(b - 1, 0)
-    idx_active = np.maximum(b - k, 0)
-
-    passive = np.zeros((n_d, tau_max + 1, b_max + 1), dtype=bool)
-    values = np.zeros((n_d, tau_max + 1, b_max + 1))
+    d = np.asarray(subsidies, dtype=np.float64)
+    # filled as (tau, backlog, subsidy), returned as a transposed view
+    shape = (mdp.horizon + 1, mdp.max_backlog + 1, d.size)
+    passive = np.empty(shape, dtype=bool)
+    values = np.empty(shape)
     # tau = 0: one-shot comparison at the idle state (subsidy vs nothing)
-    passive[:, 0, :] = d >= 0.0
-    values[:, 0, :] = np.maximum(d, 0.0)
-
-    v_next = np.zeros((n_d, b_max + 1))  # continuation after the deadline slot
-    for tau in range(1, tau_max + 1):
-        if tau == 1:
-            q0 = d - np.where(has_work, fpen[idx_passive], 0.0)
-            q1 = np.where(has_work, e - fpen[idx_active], 0.0)
-            q1 = np.broadcast_to(q1, (n_d, b_max + 1))
-        else:
-            q0 = d + beta * v_next[:, idx_passive]
-            q1 = np.where(has_work, e, 0.0) + beta * v_next[:, idx_active]
-        passive[:, tau, :] = q0 >= q1
-        v_next = np.maximum(q0, q1)
-        values[:, tau, :] = v_next
-    return passive, values
+    passive[0] = d >= 0.0
+    values[0] = np.maximum(d, 0.0)
+    levels = _induction(
+        d, mdp.e_saving, mdp.capacity, mdp.penalty.table(mdp.max_backlog), mdp.horizon, mdp.discount
+    )
+    for tau, (p, v, _) in enumerate(levels, start=1):
+        passive[tau] = p
+        values[tau] = v
+    return passive.transpose(2, 0, 1), values.transpose(2, 0, 1)
 
 
-def single_arm_value_iteration(mdp: SubsidizedArmMDP) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the subsidized arm exactly.
+def _bracket(penalty: PenaltyFn, b_max: int, max_abs_e: float) -> float:
+    """Half-width of a subsidy interval holding every threshold.
 
-    Returns ``(values, actions)`` over the (tau, backlog) grid; actions are
-    0/1 with ties broken toward passive.  Entries at invalid states
-    (tau == 0, backlog > 0) are filled but meaningless.
+    Thresholds are bounded by the largest reachable penalty plus |saving|;
+    the +1 keeps degenerate all-zero configurations searchable.
     """
-    passive, values = _solve_arm(mdp, np.array([mdp.subsidy]))
-    actions = (~passive[0]).astype(np.int8)
-    return values[0], actions
-
-
-def _bracket(mdp: SubsidizedArmMDP) -> float:
-    # Thresholds are bounded by the largest reachable penalty plus |saving|;
-    # the +1 keeps degenerate all-zero configurations searchable.
-    return 2.0 * (mdp.penalty(mdp.max_backlog) + abs(mdp.e_saving)) + 1.0
-
-
-def subsidy_threshold(
-    mdp: SubsidizedArmMDP,
-    state: TaskState,
-    tol: float = THRESHOLD_TOL,
-) -> float:
-    """Least subsidy at which the passive action is optimal at ``state``.
-
-    Binary search on the oracle's action preference; this is the
-    brute-force definition of the index, independent of its computation.
-    """
-    if state.tau > mdp.horizon or state.backlog > mdp.max_backlog:
-        raise ValueError("state outside the MDP bounds")
-    hi = _bracket(mdp)
-    lo = -hi
-
-    def passive_at(delta: float) -> bool:
-        p, _ = _solve_arm(mdp, np.array([delta]))
-        return bool(p[0, state.tau, state.backlog])
-
-    if passive_at(lo) or not passive_at(hi):
-        raise RuntimeError(
-            f"threshold bracket failure at state {state}: "
-            f"passive({lo})={passive_at(lo)}, passive({hi})={passive_at(hi)}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if passive_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return 2.0 * (penalty(b_max) + max_abs_e) + 1.0
 
 
 def subsidy_threshold_table(
@@ -346,7 +332,7 @@ def subsidy_threshold_table(
     valid = mdp.valid_mask()
     taus, bs = np.nonzero(valid)
     n = taus.size
-    width = _bracket(mdp)
+    width = _bracket(mdp.penalty, b_max, abs(mdp.e_saving))
     lo = np.full(n, -width)
     hi = np.full(n, width)
 
@@ -461,45 +447,20 @@ def _level_means(
     """Arm-summed expected within-task values at arrival and their
     derivatives in the subsidy, one column per task length.
 
-    Backward induction with zero terminal continuation at one subsidy, over
-    a group of arms sharing everything but their saving samples.  With
-    ``with_deadline`` the first level charges the non-completion penalty;
-    without it the task is cut off by the horizon before its deadline.
-    Returns shape (2, L): out[0, d-1] = sum_a E_{B|d, e}[value of a d-level
-    task] and out[1, d-1] its derivative, the expected discounted number of
-    passive slots under the actions the induction picks (passive on ties).
-    Each value is a max of functions affine in the subsidy, so the
-    derivative is a subgradient at a kink.
+    One :func:`_induction` at one subsidy, over a group of arms sharing
+    everything but their saving samples.  Returns shape (2, L):
+    out[0, d-1] = sum_a E_{B|d, e}[value of a d-level task] and out[1, d-1]
+    its derivative, the expected discounted number of passive slots.
     """
     n_levels, b_max = size_probs.shape
-    # backlog leads, so the passive and active successors are row gathers
-    e = np.asarray(esav, dtype=np.float64).reshape(1, -1)  # (1, A*E)
-    shape = (b_max + 1, e.shape[1])
-    fpen = penalty.table(b_max)
-    b = np.arange(b_max + 1)
-    has_work = (b > 0)[:, None]
-    idx_passive = np.maximum(b - 1, 0)
-    idx_active = np.maximum(b - capacity, 0)
-
-    e_work = np.where(has_work, e, 0.0)
+    levels = _induction(
+        delta, np.asarray(esav, dtype=np.float64).ravel(), capacity, penalty.table(b_max),
+        n_levels, beta, with_deadline, force_active,
+    )
     out = np.zeros((2, n_levels))
-    v = np.zeros(shape)
-    dv = np.zeros(shape)
-    for level in range(1, n_levels + 1):
-        if with_deadline and level == 1:
-            q0 = delta - np.where(has_work, fpen[idx_passive, None], 0.0)
-            q1 = e_work - np.where(has_work, fpen[idx_active, None], 0.0)
-            dq0, dq1 = 1.0, 0.0
-        else:
-            q0 = delta + beta * v[idx_passive]
-            q1 = e_work + beta * v[idx_active]
-            dq0 = 1.0 + beta * dv[idx_passive]
-            dq1 = beta * dv[idx_active]
-        passive = np.zeros(shape, dtype=bool) if force_active else q0 >= q1
-        v = np.where(passive, q0, q1)
-        dv = np.where(passive, dq0, dq1)
-        out[0, level - 1] = size_probs[level - 1] @ v[1:].sum(axis=1)
-        out[1, level - 1] = size_probs[level - 1] @ dv[1:].sum(axis=1)
+    for level, (_, v, dv) in enumerate(levels):
+        out[0, level] = size_probs[level] @ v[1:].sum(axis=1)
+        out[1, level] = size_probs[level] @ dv[1:].sum(axis=1)
     return out / esav.shape[1]
 
 
@@ -542,57 +503,6 @@ def _finite_chain_values(
     return idle_gain + beta * c_hist[horizon - 1]
 
 
-def arm_chain_value_reference(
-    chain: ArmChain,
-    delta: float,
-    beta: float,
-    tol: float = VALUE_ITER_TOL,
-    max_iter: int = 200_000,
-) -> float:
-    """Plain value iteration over the joint recurrent chain (slow reference).
-
-    State space is idle plus (tau, backlog, saving-sample); used to verify
-    the closed-form renewal solution.  Raises RuntimeError if the sup-norm
-    residual fails to reach ``tol``.
-    """
-    tau_max, b_max = chain.size_probs.shape
-    es = np.asarray(chain.esav_values, dtype=np.float64)
-    n_e = es.size
-    q = chain.arrival_prob
-    fpen = chain.penalty.table(b_max)
-    b = np.arange(b_max + 1)
-    has_work = b > 0
-    idx_passive = np.maximum(b - 1, 0)
-    idx_active = np.maximum(b - chain.capacity, 0)
-
-    v = np.zeros((tau_max + 1, n_e, b_max + 1))  # v[0] reused for the idle row
-    v_idle = 0.0
-    for _ in range(max_iter):
-        # expected value at the next slot after a deadline or while idle
-        arrival_value = 0.0
-        for d_idx in range(tau_max):
-            arrival_value += chain.duration_probs[d_idx] * (
-                v[d_idx + 1, :, 1:] @ chain.size_probs[d_idx]
-            ).mean()
-        cont = q * arrival_value + (1.0 - q) * v_idle
-        new_idle = max(delta + beta * cont, beta * cont)
-        new_v = np.zeros_like(v)
-        for tau in range(1, tau_max + 1):
-            if tau == 1:
-                q0 = delta - np.where(has_work, fpen[idx_passive], 0.0) + beta * cont
-                q1 = np.where(has_work, es[:, None] - fpen[idx_active], 0.0) + beta * cont
-                q0 = np.broadcast_to(q0, (n_e, b_max + 1))
-            else:
-                q0 = delta + beta * v[tau - 1][:, idx_passive]
-                q1 = np.where(has_work, es[:, None], 0.0) + beta * v[tau - 1][:, idx_active]
-            new_v[tau] = np.maximum(q0, q1)
-        resid = max(abs(new_idle - v_idle), float(np.max(np.abs(new_v[1:] - v[1:]))))
-        v, v_idle = new_v, new_idle
-        if resid < tol:
-            return v_idle
-    raise RuntimeError(f"value iteration did not converge below {tol}")
-
-
 def _chain_terms(
     arms: Sequence[ArmChain],
     delta: float,
@@ -631,15 +541,10 @@ def _chain_terms(
         esav = np.stack([a.esav_values for a in members])
         law = laws.setdefault(key[:2], [proto, 0, 0.0, 0.0])
         law[1] += len(members)
-        law[2] = law[2] + _level_means(
-            esav, proto.capacity, proto.penalty, proto.size_probs,
-            delta, beta, with_deadline=True, force_active=force_active,
-        )
+        args = (esav, proto.capacity, proto.penalty, proto.size_probs, delta, beta)
+        law[2] = law[2] + _level_means(*args, True, force_active)
         if horizon is not None:
-            law[3] = law[3] + _level_means(
-                esav, proto.capacity, proto.penalty, proto.size_probs,
-                delta, beta, with_deadline=False, force_active=force_active,
-            )
+            law[3] = law[3] + _level_means(*args, False, force_active)
 
     total = np.zeros(2)
     for proto, n_arms, gbar, hbar in laws.values():
@@ -653,19 +558,6 @@ def _chain_terms(
         else:
             total += _finite_chain_values(gbar, hbar, idle, dur, q, beta, horizon)
     return total
-
-
-def _chain_values(
-    arms: Sequence[ArmChain],
-    delta: float,
-    beta: float,
-    horizon: Optional[int],
-    force_active: bool = False,
-) -> float:
-    """Sum over arms of the subsidized value from the empty start: the
-    exact renewal fixed point with ``horizon=None``, else the exact
-    ``horizon``-slot value."""
-    return float(_chain_terms(arms, delta, beta, horizon, force_active)[0])
 
 
 def relaxed_upper_bound(
@@ -703,7 +595,7 @@ def relaxed_upper_bound(
         raise ValueError("bound requires discount in (0, 1)")
     if num_servers == n:
         # subsidy term vanishes; the infimum is the always-active value
-        return _chain_values(arms, 0.0, discount, horizon, force_active=True)
+        return float(_chain_terms(arms, 0.0, discount, horizon, force_active=True)[0])
 
     if horizon is None:
         slope = (n - num_servers) / (1.0 - discount)
@@ -711,7 +603,7 @@ def relaxed_upper_bound(
         slope = (n - num_servers) * (1.0 - discount**horizon) / (1.0 - discount)
 
     width = max(
-        2.0 * (a.penalty(a.size_probs.shape[1]) + float(np.max(np.abs(a.esav_values)))) + 1.0
+        _bracket(a.penalty, a.size_probs.shape[1], float(np.max(np.abs(a.esav_values))))
         for a in arms
     )
 

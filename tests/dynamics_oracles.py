@@ -14,7 +14,26 @@ from typing import Sequence
 
 import numpy as np
 
-from edgebandit.dynamics import ActionVector, PenaltyFn, TaskGenerator, TaskState
+from edgebandit.dynamics import ActionVector, PenaltyFn, TaskGenerator
+
+
+@dataclass(frozen=True, order=True)
+class TaskState:
+    """Arm state: remaining slots to deadline and unfinished subtasks."""
+
+    tau: int
+    backlog: int
+
+    def __post_init__(self) -> None:
+        if self.tau < 0 or self.backlog < 0:
+            raise ValueError(f"negative state component: ({self.tau}, {self.backlog})")
+        if self.tau == 0 and self.backlog != 0:
+            raise ValueError("tau == 0 requires backlog == 0 (idle state)")
+
+    @property
+    def idle(self) -> bool:
+        return self.tau == 0
+
 
 IDLE = TaskState(0, 0)
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from dynamics_oracles import TaskState
 
-from edgebandit.dynamics import TaskState
 from edgebandit.policies import PolicyKind, slot_keys
 
 

@@ -1,16 +1,20 @@
 """The behaviour contract: byte-identical CSV output at fixed seeds.
 
 Each digest is the sha256 of the CSV that ``emit_csv`` writes for one
-preset's records (no relaxed bound).  A change that alters any digest
-changes what the simulator reports, and must say so.  Small cases run
-every preset at N=8, M=3, T=12 for seeds 0 and 1; full cases run fig6
-and fig8 at the paper size for seed 0.
+preset's records.  A change that alters any digest changes what the
+simulator reports, and must say so.  Small cases run every preset at
+N=8, M=3, T=12 for seeds 0 and 1; bound cases are small cases with the
+relaxed upper bound in every record, down to its last bit; full cases run
+fig6 and fig8 at the paper size for seed 0.  The index-vs-oracle grid
+that ``verify-index`` writes is pinned the same way, so the subsidy
+threshold oracle is held to its exact bits too.
 """
 
 import hashlib
 
 import pytest
 
+from edgebandit.cli import main
 from edgebandit.config import ExperimentCell, apply_overrides, preset_cells
 from edgebandit.harness import emit_csv, run_experiment
 
@@ -26,15 +30,27 @@ DIGESTS = {
     ("fig8", "small"): "f78871a366e9ddfc43649884ff313448b465064d9123b01e415faa41ed99bd3e",
     ("fig6", "full"): "528d7151b0e6c8abdae6e487822daac1fea3bcc7771c28ec9f1f50a073380e9c",
     ("fig8", "full"): "7970bc06d99914b178128273f96dd33ffde8d94001c704bbfd724428ce7b0f49",
+    ("fig3a", "bound"): "c119d02e36719be701358379b756acbc74d5c5731ee9ae27134982c5804658c9",
+    ("fig6", "bound"): "8242f463435b4f3b461b9528a2f678d3860c3a721342082d110dfc8b26ef20b6",
 }
+
+# verify-index --penalty experiment --alpha 5 --capacity 2 --e-saving -1
+VERIFY_INDEX_DIGEST = "cdea1a301f4d1af45f11c562478f3818dadbe56a44824c2b7742b472de3616ac"
 
 
 @pytest.mark.parametrize("preset,size", list(DIGESTS), ids=[f"{p}-{s}" for p, s in DIGESTS])
 def test_csv_digest(preset, size, tmp_path):
-    overrides, seeds = (SMALL, [0, 1]) if size == "small" else ({}, [0])
+    overrides, seeds = ({}, [0]) if size == "full" else (SMALL, [0, 1])
     cells = [ExperimentCell(c.name, apply_overrides(c.config, overrides)) for c in preset_cells(preset)]
-    result = run_experiment(cells, seeds)
+    result = run_experiment(cells, seeds, compute_bound=size == "bound")
     assert result.ok, result.failures
     path = tmp_path / "out.csv"
     emit_csv(result.records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[preset, size]
+
+
+def test_verify_index_digest(tmp_path):
+    path = tmp_path / "grid.csv"
+    args = ["--penalty", "experiment", "--alpha", "5", "--capacity", "2", "--e-saving", "-1"]
+    assert main(["verify-index", *args, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_INDEX_DIGEST

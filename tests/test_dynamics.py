@@ -14,6 +14,7 @@ from dynamics_oracles import (
     IDLE,
     StepWorld,
     SystemState,
+    TaskState,
     generate_task,
     reward,
     step_system,
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from policy_oracles import slack_time
 
 from edgebandit import dynamics
-from edgebandit.dynamics import ActionVector, PenaltyFn, TaskGenerator, TaskState
+from edgebandit.dynamics import ActionVector, PenaltyFn, TaskGenerator
 
 
 def rng(seed=0):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dynamics_oracles import IDLE, StepWorld, SystemState, step_system
+from dynamics_oracles import IDLE, StepWorld, SystemState, TaskState, step_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,6 @@ from edgebandit.harness import (
     run_episode,
     run_experiment,
 )
-from edgebandit.dynamics import TaskState
 
 FAST = {
     "num_users": 12,
@@ -73,6 +72,20 @@ class TestScenario:
         with pytest.raises(ConfigError, match="discount"):
             build_scenario(cfg(discount=1.0), 0)
         assert cfg(discount=0.999).validation_errors() == []
+
+    @pytest.mark.parametrize(
+        "field,overrides",
+        [
+            ("ref_distance", {"ref_distance": -1.0}),
+            # a negative base to a fractional power is complex in Python
+            ("ref_distance", {"ref_distance": -1.0, "pathloss_exp": 2.5}),
+            ("server_freq", {"server_freq": 0.0}),
+        ],
+        ids=["ref_distance", "ref_distance-fractional-exponent", "server_freq"],
+    )
+    def test_channel_environment_validated(self, field, overrides):
+        with pytest.raises(ConfigError, match=field):
+            build_scenario(cfg(**overrides), 0)
 
     def test_slot_length_violation_is_config_error(self):
         with pytest.raises(ConfigError, match="transmit time"):

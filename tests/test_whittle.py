@@ -10,20 +10,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from dynamics_oracles import TaskState
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from whittle_oracles import arm_chain_value_reference, subsidy_threshold
 
-from edgebandit.dynamics import PenaltyFn, TaskState
+from edgebandit.dynamics import PenaltyFn
 from edgebandit.whittle import (
     ArmChain,
     SubsidizedArmMDP,
-    arm_chain_value_reference,
     _chain_terms,
-    _chain_values,
+    _solve_arm,
     indexability_check,
     relaxed_upper_bound,
-    single_arm_value_iteration,
-    subsidy_threshold,
     subsidy_threshold_table,
     whittle_index_array,
 )
@@ -123,19 +122,22 @@ class TestClosedForm:
 
 class TestSingleArmValueIteration:
     def test_huge_subsidy_passive_everywhere(self):
-        _, actions = single_arm_value_iteration(mdp(subsidy=1e6))
+        passive, _ = _solve_arm(mdp(), [1e6])
+        actions = ~passive[0]
         assert np.all(actions == 0)
 
     def test_negative_subsidy_active_where_saving_positive(self):
-        m = mdp(subsidy=-5.0, e_saving=1.0)
-        _, actions = single_arm_value_iteration(m)
+        m = mdp(e_saving=1.0)
+        passive, _ = _solve_arm(m, [-5.0])
+        actions = ~passive[0]
         for tau in range(2, m.horizon + 1):
             for b in range(1, m.max_backlog + 1):
                 assert actions[tau, b] == 1
 
     def test_exact_tie_resolves_passive(self):
-        m = mdp(subsidy=1.0, e_saving=1.0)
-        _, actions = single_arm_value_iteration(m)
+        m = mdp(e_saving=1.0)
+        passive, _ = _solve_arm(m, [1.0])
+        actions = ~passive[0]
         assert actions[1, 1] == 0
 
 
@@ -303,23 +305,23 @@ class TestArmChainValue:
         # the one-sided difference quotients
         h = 1e-4
         value, derivative = _chain_terms([chain], delta, beta, horizon)
-        assert value == _chain_values([chain], delta, beta, horizon)
-        left = (value - _chain_values([chain], delta - h, beta, horizon)) / h
-        right = (_chain_values([chain], delta + h, beta, horizon) - value) / h
+        assert value == _chain_terms([chain], delta, beta, horizon)[0]
+        left = (value - _chain_terms([chain], delta - h, beta, horizon)[0]) / h
+        right = (_chain_terms([chain], delta + h, beta, horizon)[0] - value) / h
         slack = 1e-6 * (1.0 + abs(left) + abs(right))
         assert left - slack <= derivative <= right + slack
 
     @pytest.mark.parametrize("delta", [-2.0, -0.3, 0.0, 0.7, 3.0])
     def test_renewal_matches_value_iteration(self, delta):
         chain = small_chain()
-        exact = _chain_values([chain], delta, 0.95, None)
+        exact = _chain_terms([chain], delta, 0.95, None)[0]
         reference = arm_chain_value_reference(chain, delta, 0.95)
         assert exact == pytest.approx(reference, abs=5e-8)
 
     def test_finite_horizon_converges_to_renewal(self):
         chain = small_chain()
-        inf_val = _chain_values([chain], 0.7, 0.95, None)
-        vals = [_chain_values([chain], 0.7, 0.95, t) for t in (50, 400, 3200)]
+        inf_val = _chain_terms([chain], 0.7, 0.95, None)[0]
+        vals = [_chain_terms([chain], 0.7, 0.95, t)[0] for t in (50, 400, 3200)]
         errs = [abs(v - inf_val) for v in vals]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-6
@@ -327,15 +329,15 @@ class TestArmChainValue:
     def test_idle_forever_with_no_arrivals(self):
         chain = small_chain(q=0.0)
         # never any task: value is max(delta, 0) per slot, discounted
-        assert _chain_values([chain], 0.4, 0.9, None) == pytest.approx(0.4 / 0.1, rel=1e-9)
-        assert _chain_values([chain], -0.4, 0.9, None) == pytest.approx(0.0, abs=1e-12)
+        assert _chain_terms([chain], 0.4, 0.9, None)[0] == pytest.approx(0.4 / 0.1, rel=1e-9)
+        assert _chain_terms([chain], -0.4, 0.9, None)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRelaxedBound:
     def test_all_servers_forces_active_value(self):
         chains = [small_chain(), small_chain(k=3)]
         bound = relaxed_upper_bound(chains, num_servers=2, discount=0.95)
-        forced = sum(_chain_values([c], 0.0, 0.95, None, force_active=True) for c in chains)
+        forced = sum(_chain_terms([c], 0.0, 0.95, None, force_active=True)[0] for c in chains)
         assert bound == pytest.approx(forced, rel=1e-12)
 
     def test_single_idle_arm_no_server(self):
@@ -361,7 +363,7 @@ class TestRelaxedBound:
         slope = (len(chains) - 1) * discounted_slots
 
         def dual(grid):
-            return np.array([_chain_values(chains, d, beta, horizon) for d in grid]) - slope * grid
+            return np.array([_chain_terms(chains, d, beta, horizon)[0] for d in grid]) - slope * grid
 
         coarse = np.linspace(-10.0, 10.0, 401)
         i = int(np.argmin(dual(coarse)))
@@ -374,7 +376,7 @@ class TestRelaxedBound:
     def test_dominates_passive_and_active_static_policies(self):
         chains = [small_chain(), small_chain(k=3), small_chain(q=0.3)]
         bound = relaxed_upper_bound(chains, 1, 0.95)
-        always_active = sum(_chain_values([c], 0.0, 0.95, None, force_active=True) for c in chains)
+        always_active = sum(_chain_terms([c], 0.0, 0.95, None, force_active=True)[0] for c in chains)
         assert bound >= always_active - 1e-9
 
     def test_bad_discount_rejected(self):
