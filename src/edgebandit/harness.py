@@ -8,6 +8,13 @@ policy stream (posterior sampling, MH proposals).  Task timelines are
 action-independent, so two policies replayed on the same seed face
 identical arrivals, workloads, deadlines, and channel draws; learning
 policies cannot perturb the environment they are measured on.
+
+Each (scenario, seed) timeline - every arrival slot, duration, size and
+true saving - is therefore drawn once, as arrays, before the slot loop
+reads it.  The last one drawn is kept, so the cells of one seed that
+differ only in policy-side fields (policy, estimator, servers, penalty,
+discount, learner settings) share it; :func:`run_experiment` runs its
+episodes seed by seed for that reason.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -221,6 +228,102 @@ def _draw_saving(cfg: SimConfig, scn: Scenario, rng: np.random.Generator, i: int
     return float(rng.laplace(cfg.truth_location, cfg.truth_spread))
 
 
+class _Timeline(NamedTuple):
+    """The action-independent draws of one (scenario, seed), as read-only arrays.
+
+    The arrivals at the end of slot t are rows ``starts[t]:starts[t+1]`` of
+    ``user``, ``duration`` and ``size``, users ascending.  ``saving`` holds
+    the true saving of each arrival or, when ``fading_period_slots > 0``,
+    one row of every user's saving per fading block.
+    """
+
+    starts: np.ndarray
+    user: np.ndarray
+    duration: np.ndarray
+    size: np.ndarray
+    saving: np.ndarray
+
+
+def _draw_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
+    """Walk each user's task and fading streams once, with the calls and in
+    the order of a slot-by-slot episode.
+
+    A user is checked for an arrival at the end of every slot it ends idle;
+    the countdown runs whatever the policy does, so after an arrival of
+    duration d the next check is d slots later.
+    """
+    horizon, period = cfg.horizon, cfg.fading_period_slots
+    events: list[tuple[int, int, int, int]] = []  # (slot, user, duration, size)
+    savings: list[float] = []
+    for i in range(cfg.num_users):
+        tasks = _stream(cfg.master_seed, seed, 1, i)
+        fading = _stream(cfg.master_seed, seed, 2, i)
+        gen = _task_generator(cfg, int(scn.capacities[i]))
+        t = 0
+        while t < horizon:
+            if gen.maybe_arrival(tasks):
+                duration, size = gen.draw(tasks)
+                events.append((t, i, duration, size))
+                if period == 0:
+                    savings.append(_draw_saving(cfg, scn, fading, i))
+                t += duration
+            else:
+                t += 1
+        if period > 0:
+            savings.extend(_draw_saving(cfg, scn, fading, i) for _ in range(0, horizon, period))
+    cols = np.array(events, dtype=np.int64).reshape(-1, 4)
+    order = np.argsort(cols[:, 0], kind="stable")  # by slot, then user
+    saving = np.array(savings)
+    if period == 0:
+        saving = saving[order]
+    else:
+        saving = saving.reshape(cfg.num_users, -1).T.copy()
+    slot, user, duration, size = cols[order].T.copy()
+    starts = np.searchsorted(slot, np.arange(horizon + 1))
+    timeline = _Timeline(starts, user, duration, size, saving)
+    for arr in timeline:
+        arr.flags.writeable = False
+    return timeline
+
+
+# fields that neither the scenario nor the timeline reads; every other
+# field, including any added later, stays in the timeline's key
+_POLICY_SIDE_FIELDS = (
+    "policy",
+    "estimator",
+    "num_servers",
+    "penalty",
+    "penalty_alpha",
+    "discount",
+    "mh_samples",
+    "mh_burn_in",
+    "mh_proposal_factor",
+    "nig_variant",
+    "bl_estimate",
+    "estimate_trace_path",
+    "bound_esav_samples",
+    "replications",
+)
+_DEFAULTS = SimConfig()
+
+
+def _timeline_key(cfg: SimConfig, seed: int) -> tuple[SimConfig, int]:
+    return dataclasses.replace(cfg, **{f: getattr(_DEFAULTS, f) for f in _POLICY_SIDE_FIELDS}), seed
+
+
+_last_timeline: dict = {}  # at most one entry, {_timeline_key: _Timeline}
+
+
+def _shared_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
+    """The timeline of (cfg, seed): the last one drawn if its key matches,
+    else drawn from ``scn`` and kept in its place."""
+    key = _timeline_key(cfg, seed)
+    if key not in _last_timeline:
+        _last_timeline.clear()
+        _last_timeline[key] = _draw_timeline(cfg, scn, seed)
+    return _last_timeline[key]
+
+
 class _PsblBatch:
     """The Metropolis-Hastings kernel of the prior-swapping learner.
 
@@ -301,11 +404,10 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     n, m, horizon, beta = cfg.num_users, cfg.num_servers, cfg.horizon, cfg.discount
     caps = scn.capacities
 
-    task_rngs = [_stream(cfg.master_seed, seed, 1, i) for i in range(n)]
-    fading_rngs = [_stream(cfg.master_seed, seed, 2, i) for i in range(n)]
+    timeline = _shared_timeline(cfg, scn, seed)
+    period = cfg.fading_period_slots
     noise_rngs = [_stream(cfg.master_seed, seed, 3, i) for i in range(n)]
     policy_rng = _stream(cfg.master_seed, seed, 4)
-    gens = [_task_generator(cfg, int(caps[i])) for i in range(n)]
 
     learner = _learner(cfg, n)
     psbl = _PsblBatch(learner) if cfg.estimator == "psbl" else None
@@ -315,10 +417,8 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     # only the index policies rank by the index; the others get zeros
     index_policy = kind in (PolicyKind.WI, PolicyKind.STLW_WI)
     wi = np.zeros(n)
-    esav_true = np.full(n, np.nan)
-    if cfg.fading_period_slots > 0:
-        # block savings exist from the start, even before the first task
-        esav_true = np.array([_draw_saving(cfg, scn, fading_rngs[i], i) for i in range(n)])
+    # 0 until a user's first task (or its first fading block) sets it
+    esav_true = np.zeros(n)
 
     discounted = 0.0
     realized_saving = 0.0
@@ -330,22 +430,22 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
         trace_lines = ["slot,user,estimate,true_saving"]
 
     for t in range(horizon):
-        if cfg.fading_period_slots > 0 and t > 0 and t % cfg.fading_period_slots == 0:
-            esav_true = np.array([_draw_saving(cfg, scn, fading_rngs[i], i) for i in range(n)])
-            if learner is not None:
+        if period > 0 and t % period == 0:
+            # block savings exist from the start, even before the first task
+            esav_true = timeline.saving[t // period]
+            if learner is not None and t > 0:
                 learner.reset()
 
         active = tau > 0
-        esav_ranking = np.where(active, np.nan_to_num(esav_true), 0.0)
+        esav_ranking = np.where(active, esav_true, 0.0)
         if learner is not None:
             if psbl is not None:
                 psbl.refresh(policy_rng)
             est_vals = learner.estimate()
             esav_ranking = np.where(active, est_vals, 0.0)
             if trace_lines is not None:
-                truth = np.nan_to_num(esav_true)
                 trace_lines.extend(
-                    f"{t},{i},{est_vals[i]:.17g},{truth[i]:.17g}" for i in range(n)
+                    f"{t},{i},{est_vals[i]:.17g},{esav_true[i]:.17g}" for i in range(n)
                 )
 
         if index_policy:
@@ -358,13 +458,12 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
         sel[list(action.selected)] = 1
 
         # rewards use the true savings regardless of what the policy knows
-        esav_reward = np.nan_to_num(esav_true)
-        slot = step(tau, backlog, sel, esav_reward, caps, penalty)
+        slot = step(tau, backlog, sel, esav_true, caps, penalty)
         slot_reward = float(slot.reward.sum())
         discounted += beta**t * slot_reward
         max_abs_slot_reward = max(max_abs_slot_reward, abs(slot_reward))
         offloading = (sel == 1) & (backlog > 0)
-        realized_saving += float(esav_reward[offloading].sum())
+        realized_saving += float(esav_true[offloading].sum())
 
         ended = tau == 1
         deadline_tasks += int(ended.sum())
@@ -385,15 +484,15 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
                     learner.update(users, obs)
 
         tau, backlog = slot.tau, slot.backlog
-        arrived = []
-        for i in np.flatnonzero(tau == 0):
-            if gens[i].maybe_arrival(task_rngs[i]):
-                tau[i], backlog[i] = gens[i].draw(task_rngs[i])
-                if cfg.fading_period_slots == 0:
-                    esav_true[i] = _draw_saving(cfg, scn, fading_rngs[i], i)
-                    arrived.append(i)
-        if learner is not None and arrived:
-            learner.reset(np.array(arrived))
+        rows = slice(timeline.starts[t], timeline.starts[t + 1])
+        arrived = timeline.user[rows]
+        if arrived.size:
+            tau[arrived] = timeline.duration[rows]
+            backlog[arrived] = timeline.size[rows]
+            if period == 0:
+                esav_true[arrived] = timeline.saving[rows]
+                if learner is not None:
+                    learner.reset(arrived)
 
     if trace_lines is not None:
         trace_path = Path(cfg.estimate_trace_path.format(seed=seed))
@@ -571,41 +670,43 @@ def run_experiment(
     failures: list[tuple[str, int, str]] = []
     metadata: dict = {"seeds": list(seeds), "tail_bound": {}}
 
-    tasks = [(i, cell, s) for i, cell in enumerate(cells) for s in seeds]
-    work = [("episode", cell.config, s) for _, cell, s in tasks]
+    # episodes run seed by seed, so consecutive ones (in a worker's chunk
+    # too) share the seed's timeline; results are filed cell by cell
+    work = [("episode", cell.config, s) for s in seeds for cell in cells]
+    n_episodes = len(work)
     bound_tasks: dict = {}
     if compute_bound:
-        for _, cell, s in tasks:
-            bound_tasks.setdefault(_bound_key(cell.config, s), ("bound", cell.config, s))
+        for _, cfg, s in work:
+            bound_tasks.setdefault(_bound_key(cfg, s), ("bound", cfg, s))
     work += bound_tasks.values()
     if jobs > 1:
         with Pool(jobs) as pool:
             outcomes = pool.map(_task, work)
     else:
         outcomes = [_task(w) for w in work]
-    bounds = dict(zip(bound_tasks, outcomes[len(tasks) :]))
+    bounds = dict(zip(bound_tasks, outcomes[n_episodes:]))
 
     # records are matched to their cell by index: cells may share every
     # field a record carries (policy, N, M, alpha) and differ elsewhere
-    per_cell: list[list[RunRecord]] = [[] for _ in cells]
-    for (i, cell, s), outcome in zip(tasks, outcomes):
-        if isinstance(outcome, Exception):
-            failures.append((cell.name, s, f"{type(outcome).__name__}: {outcome}"))
-            continue
-        record, info = outcome
-        if compute_bound:
-            bound = bounds[_bound_key(cell.config, s)]
-            if isinstance(bound, Exception):
-                failures.append((cell.name, s, f"relaxed bound: {type(bound).__name__}: {bound}"))
-                continue
-            record = dataclasses.replace(record, relaxed_bound=bound)
-        records.append(record)
-        per_cell[i].append(record)
-        prev = metadata["tail_bound"].get(cell.name, 0.0)
-        metadata["tail_bound"][cell.name] = max(prev, info.reward_tail_bound)
-
     summaries = []
-    for cell, cell_records in zip(cells, per_cell):
+    for i, cell in enumerate(cells):
+        first = len(records)
+        for s, outcome in zip(seeds, outcomes[i:n_episodes:len(cells)]):
+            if isinstance(outcome, Exception):
+                failures.append((cell.name, s, f"{type(outcome).__name__}: {outcome}"))
+                continue
+            record, info = outcome
+            if compute_bound:
+                bound = bounds[_bound_key(cell.config, s)]
+                if isinstance(bound, Exception):
+                    failures.append((cell.name, s, f"relaxed bound: {type(bound).__name__}: {bound}"))
+                    continue
+                record = dataclasses.replace(record, relaxed_bound=bound)
+            records.append(record)
+            prev = metadata["tail_bound"].get(cell.name, 0.0)
+            metadata["tail_bound"][cell.name] = max(prev, info.reward_tail_bound)
+
+        cell_records = records[first:]
         if not cell_records:
             continue
         rm, rc = _mean_ci([r.discounted_reward for r in cell_records])

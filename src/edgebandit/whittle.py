@@ -246,6 +246,7 @@ def _induction(
     beta: float,
     with_deadline: bool = True,
     force_active: bool = False,
+    derivative: bool = True,
 ):
     """Backward induction of the subsidized arm within one task.
 
@@ -260,6 +261,7 @@ def _induction(
     everywhere.  The derivative in the subsidy is the discounted number of
     passive slots under the actions picked: each value is a max of
     functions affine in the subsidy, so it is a subgradient at a kink.
+    Without ``derivative`` it is not carried, and None is yielded for it.
     """
     b = np.arange(fpen.size)
     has_work = (b > 0)[:, None]
@@ -268,7 +270,7 @@ def _induction(
     shape = np.broadcast_shapes(has_work.shape, np.shape(delta), np.shape(e))
     e_work = np.where(has_work, e, 0.0)
     v = np.zeros(shape)
-    dv = np.zeros(shape)
+    dv = np.zeros(shape) if derivative else None
     for level in range(1, levels + 1):
         if with_deadline and level == 1:
             q0 = delta - np.where(has_work, fpen[idx_passive, None], 0.0)
@@ -277,11 +279,13 @@ def _induction(
         else:
             q0 = delta + beta * v[idx_passive]
             q1 = e_work + beta * v[idx_active]
-            dq0 = 1.0 + beta * dv[idx_passive]
-            dq1 = beta * dv[idx_active]
+            if derivative:
+                dq0 = 1.0 + beta * dv[idx_passive]
+                dq1 = beta * dv[idx_active]
         passive = np.zeros(shape, dtype=bool) if force_active else q0 >= q1
         v = np.where(passive, q0, q1)
-        dv = np.where(passive, dq0, dq1)
+        if derivative:
+            dv = np.where(passive, dq0, dq1)
         yield passive, v, dv
 
 
@@ -300,7 +304,8 @@ def _solve_arm(mdp: SubsidizedArmMDP, subsidies: np.ndarray) -> tuple[np.ndarray
     passive[0] = d >= 0.0
     values[0] = np.maximum(d, 0.0)
     levels = _induction(
-        d, mdp.e_saving, mdp.capacity, mdp.penalty.table(mdp.max_backlog), mdp.horizon, mdp.discount
+        d, mdp.e_saving, mdp.capacity, mdp.penalty.table(mdp.max_backlog), mdp.horizon, mdp.discount,
+        derivative=False,
     )
     for tau, (p, v, _) in enumerate(levels, start=1):
         passive[tau] = p

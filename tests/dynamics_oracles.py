@@ -4,7 +4,9 @@ This is the per-user-object form that the array step in
 ``edgebandit.dynamics`` replaced: a frozen ``TaskState`` per user, a scalar
 reward and transition, and a system step that loops over the users and
 reports one event per expired deadline.  Tests check the array step and
-the simulation harness against it.
+the simulation harness against it.  :func:`replay_timeline` is the
+slot-by-slot form of the episode's action-independent draws, which the
+harness now makes once per (scenario, seed).
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from edgebandit.config import SimConfig
 from edgebandit.dynamics import ActionVector, PenaltyFn, TaskGenerator
+from edgebandit.harness import Scenario, _draw_saving, _stream, _task_generator
 
 
 @dataclass(frozen=True, order=True)
@@ -171,3 +175,33 @@ def step_system(
             )
         nxt.append(transition(s, u, k, world.gens[i], world.rngs[i]))
     return SystemState(per_user=tuple(nxt), slot=state.slot + 1), rewards, events
+
+
+def replay_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> tuple[list, list]:
+    """The arrival and saving draws of one episode, made slot by slot.
+
+    At the start of every fading block each user draws its block saving;
+    at the end of every slot each user that ends it idle is checked for an
+    arrival, which draws the task and, with per-task fading, its saving.
+    Returns ``(events, blocks)``: one ``(slot, user, duration, size,
+    saving)`` per arrival in slot order, users ascending (saving None under
+    block fading), and one list of every user's saving per fading block.
+    """
+    n, period = cfg.num_users, cfg.fading_period_slots
+    task_rngs = [_stream(cfg.master_seed, seed, 1, i) for i in range(n)]
+    fading_rngs = [_stream(cfg.master_seed, seed, 2, i) for i in range(n)]
+    gens = [_task_generator(cfg, int(k)) for k in scn.capacities]
+    tau = [0] * n
+    events: list = []
+    blocks: list = []
+    for t in range(cfg.horizon):
+        if period > 0 and t % period == 0:
+            blocks.append([_draw_saving(cfg, scn, fading_rngs[i], i) for i in range(n)])
+        for i in range(n):
+            # the deadline countdown runs whatever the action
+            tau[i] = max(tau[i] - 1, 0)
+            if tau[i] == 0 and gens[i].maybe_arrival(task_rngs[i]):
+                tau[i], size = gens[i].draw(task_rngs[i])
+                saving = _draw_saving(cfg, scn, fading_rngs[i], i) if period == 0 else None
+                events.append((t, i, tau[i], size, saving))
+    return events, blocks

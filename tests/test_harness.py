@@ -1,14 +1,15 @@
 """Harness tests: scenario validation, episode determinism, paired
-randomness, the episode against the reference dynamics, experiment
-sweeps, and CSV round-trips."""
+randomness, the episode against the reference dynamics, the shared task
+timeline against a slot-by-slot replay, experiment sweeps, and CSV
+round-trips."""
 
 import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
-from dynamics_oracles import IDLE, StepWorld, SystemState, TaskState, step_system
-from hypothesis import given, settings
+from dynamics_oracles import IDLE, StepWorld, SystemState, TaskState, replay_timeline, step_system
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgebandit import harness
@@ -22,6 +23,7 @@ from edgebandit.config import (
 )
 from edgebandit.harness import (
     RunRecord,
+    _draw_timeline,
     _run_episode_full,
     _stream,
     _task_generator,
@@ -252,6 +254,119 @@ class TestEpisodeReplay:
         assert info.completed_tasks == sum(e.completed for e in events)
 
 
+def timeline_events(timeline) -> list:
+    """The timeline's arrivals as ``(slot, user, duration, size)`` rows."""
+    starts = timeline.starts
+    return [
+        (t, int(timeline.user[r]), int(timeline.duration[r]), int(timeline.size[r]))
+        for t in range(starts.size - 1)
+        for r in range(starts[t], starts[t + 1])
+    ]
+
+
+def assert_timelines_equal(a, b):
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y, strict=True)
+
+
+# a value other than the default for every field the timeline key drops
+POLICY_SIDE = {
+    "policy": "edf",
+    "estimator": "psbl",
+    "num_servers": 2,
+    "penalty": "theory",
+    "penalty_alpha": 3.0,
+    "discount": 0.9,
+    "mh_samples": 3,
+    "mh_burn_in": 2,
+    "mh_proposal_factor": 0.5,
+    "nig_variant": "paper",
+    "bl_estimate": "sample",
+    "estimate_trace_path": "trace-{seed}.csv",
+    "bound_esav_samples": 4,
+    "replications": 3,
+}
+
+
+class TestTimeline:
+    @given(
+        n=st.integers(1, 6),
+        horizon=st.integers(1, 25),
+        truth=st.sampled_from(["channel", "gaussian", "laplace"]),
+        size_rule=st.sampled_from(["uniform", "server-feasible", "offload-window"]),
+        fading=st.sampled_from([0, 5]),
+        arrival_prob=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 1000),
+    )
+    @example(n=3, horizon=1, truth="channel", size_rule="uniform", fading=0, arrival_prob=1.0, seed=0)
+    @example(n=3, horizon=1, truth="gaussian", size_rule="uniform", fading=5, arrival_prob=0.3, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_slot_by_slot_replay(self, n, horizon, truth, size_rule, fading, arrival_prob, seed):
+        c = cfg(
+            num_users=n,
+            num_servers=1,
+            horizon=horizon,
+            energy_truth=truth,
+            task_size_rule=size_rule,
+            fading_period_slots=fading,
+            arrival_prob=arrival_prob,
+        )
+        scn = build_scenario(c, seed)
+        timeline = _draw_timeline(c, scn, seed)
+        events, blocks = replay_timeline(c, scn, seed)
+        assert timeline_events(timeline) == [e[:4] for e in events]
+        savings = blocks if fading else [e[4] for e in events]
+        np.testing.assert_array_equal(timeline.saving, np.array(savings, dtype=float), strict=True)
+
+    def test_policy_side_fields_leave_timeline_equal(self):
+        assert set(POLICY_SIDE) == set(harness._POLICY_SIDE_FIELDS)
+        c = cfg()
+        base = _draw_timeline(c, build_scenario(c, 3), 3)
+        for field, value in POLICY_SIDE.items():
+            other = dataclasses.replace(c, **{field: value})
+            assert getattr(other, field) != getattr(c, field)
+            assert harness._timeline_key(other, 3) == harness._timeline_key(c, 3)
+            assert_timelines_equal(_draw_timeline(other, build_scenario(other, 3), 3), base)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("arrival_prob", 0.3),
+            ("num_users", 5),
+            ("master_seed", 7),
+            ("fading_period_slots", 5),
+            ("truth_spread", 0.2),
+            ("horizon", 20),
+        ],
+    )
+    def test_scenario_fields_change_key(self, field, value):
+        c = cfg()
+        other = dataclasses.replace(c, **{field: value})
+        assert harness._timeline_key(other, 3) != harness._timeline_key(c, 3)
+
+    def test_seed_changes_key(self):
+        assert harness._timeline_key(cfg(), 3) != harness._timeline_key(cfg(), 4)
+
+    def test_warm_cache_matches_cold(self, monkeypatch):
+        c = cfg(estimator="mle")
+        cold = {}
+        for p in ("wi", "edf"):
+            harness._last_timeline.clear()
+            cold[p] = run_episode(dataclasses.replace(c, policy=p), 5)
+        (timeline,) = harness._last_timeline.values()
+        for arr in timeline:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            timeline.duration[0] = 1
+
+        def no_draw(*args):
+            raise AssertionError("the timeline was drawn again")
+
+        monkeypatch.setattr(harness, "_draw_timeline", no_draw)
+        for p, record in cold.items():
+            assert run_episode(dataclasses.replace(c, policy=p), 5) == record
+
+
 class TestRelaxedBoundIntegration:
     def test_bound_dominates_mean_rewards(self):
         # the bound caps the expected reward; at this tiny scale a single
@@ -321,6 +436,22 @@ class TestRunExperiment:
         assert pooled.records == serial.records
         assert all(r.relaxed_bound is not None for r in serial.records)
         assert serial.records[0].relaxed_bound != serial.records[1].relaxed_bound
+
+    def test_episodes_in_worker_pool_match_serial(self, tmp_path):
+        small = {"num_users": 8, "num_servers": 3, "horizon": 12}
+        cells = [
+            ExperimentCell(c.name, apply_overrides(c.config, small))
+            for preset in ("fig6", "fig8")
+            for c in preset_cells(preset)
+        ]
+        outputs = []
+        for jobs in (1, 2):
+            result = run_experiment(cells, seeds=[0, 1], compute_bound=True, jobs=jobs)
+            assert result.ok, result.failures
+            path = tmp_path / f"jobs{jobs}.csv"
+            emit_csv(result.records, path)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
