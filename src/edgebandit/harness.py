@@ -10,8 +10,10 @@ identical arrivals, workloads, deadlines, and channel draws; learning
 policies cannot perturb the environment they are measured on.
 
 Each (scenario, seed) timeline - every arrival slot, duration, size and
-true saving - is therefore drawn once, as arrays, before the slot loop
-reads it.  The last one drawn is kept, so the cells of one seed that
+true saving, and every user's measurement noise - is therefore drawn
+once, as arrays, before the slot loop reads it.  Observation k of user i
+reads draw k of its noise stream, whatever task or fading block it falls
+in.  The last timeline drawn is kept, so the cells of one seed that
 differ only in policy-side fields (policy, estimator, servers, penalty,
 discount, learner settings) share it; :func:`run_experiment` runs its
 episodes seed by seed for that reason.
@@ -32,13 +34,14 @@ from scipy.special import gammaln
 from . import mec
 from .config import ConfigError, ExperimentCell, SimConfig
 from .dynamics import TaskGenerator, reward, step
+# ``observe`` stays importable as ``harness.observe``, a name the benchmark
+# tracer hooks; the episode reads its noise from the timeline instead
 from .learning import (
     BayesWhittleEstimator,
     MleWhittleEstimator,
-    NoiseModel,
     PriorSpec,
     PriorSwapWhittleEstimator,
-    observe,
+    observe,  # noqa: F401
 )
 from .policies import PolicyKind, select, slot_keys
 from .whittle import ArmChain, relaxed_upper_bound, whittle_index_array
@@ -234,7 +237,10 @@ class _Timeline(NamedTuple):
     The arrivals at the end of slot t are rows ``starts[t]:starts[t+1]`` of
     ``user``, ``duration`` and ``size``, users ascending.  ``saving`` holds
     the true saving of each arrival or, when ``fading_period_slots > 0``,
-    one row of every user's saving per fading block.
+    one row of every user's saving per fading block.  Row i of ``noise``
+    is the first ``horizon`` standard normals of user i's noise stream: a
+    user measures at most once per slot, and its k-th measurement reads
+    column k.
     """
 
     starts: np.ndarray
@@ -242,6 +248,7 @@ class _Timeline(NamedTuple):
     duration: np.ndarray
     size: np.ndarray
     saving: np.ndarray
+    noise: np.ndarray
 
 
 def _draw_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
@@ -255,7 +262,9 @@ def _draw_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
     horizon, period = cfg.horizon, cfg.fading_period_slots
     events: list[tuple[int, int, int, int]] = []  # (slot, user, duration, size)
     savings: list[float] = []
+    noise = np.empty((cfg.num_users, horizon))
     for i in range(cfg.num_users):
+        noise[i] = _stream(cfg.master_seed, seed, 3, i).standard_normal(horizon)
         tasks = _stream(cfg.master_seed, seed, 1, i)
         fading = _stream(cfg.master_seed, seed, 2, i)
         gen = _task_generator(cfg, int(scn.capacities[i]))
@@ -280,7 +289,7 @@ def _draw_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
         saving = saving.reshape(cfg.num_users, -1).T.copy()
     slot, user, duration, size = cols[order].T.copy()
     starts = np.searchsorted(slot, np.arange(horizon + 1))
-    timeline = _Timeline(starts, user, duration, size, saving)
+    timeline = _Timeline(starts, user, duration, size, saving, noise)
     for arr in timeline:
         arr.flags.writeable = False
     return timeline
@@ -345,10 +354,11 @@ class _PsblBatch:
         posterior is fixed within a slot, so its constants are folded once."""
         fp = self.learner.false_prior
         const = 0.5 * (np.log(lam) - math.log(fp.lam)) + nu * np.log(phi) - gammaln(nu)
+        half_lam, half_fp_lam = 0.5 * lam, 0.5 * fp.lam
         true_logpdf = self.learner.true_prior.logpdf
 
         def target(sav, logvar):
-            scale = 0.5 * lam * (sav - mu) ** 2 + phi - 0.5 * fp.lam * (sav - fp.mu) ** 2
+            scale = half_lam * (sav - mu) ** 2 + phi - half_fp_lam * (sav - fp.mu) ** 2
             return const - nu * logvar - scale * np.exp(-logvar) + true_logpdf(sav)
 
         return target
@@ -358,23 +368,23 @@ class _PsblBatch:
         lam, mu, phi, nu = ps.posterior()
         target = self._target(lam, mu, phi, nu)
         n = lam.size
-        sav, logvar = ps.chain_saving, ps.chain_logvar
-        s_sav = ps.proposal_factor * np.sqrt(phi / (lam * nu))
-        s_lv = ps.proposal_factor / np.sqrt(nu)
+        # proposal scales of (saving, log variance), one row each like the state
+        pf = ps.proposal_factor
+        scales = np.stack((pf * np.sqrt(phi / (lam * nu)), pf / np.sqrt(nu)))
 
-        cur = target(sav, logvar)
+        state = ps.chain
+        cur = target(*state)
         total = np.zeros(n)
         for step in range(ps.burn_in + ps.chain_len):
-            prop_sav = sav + s_sav * rng.standard_normal(n)
-            prop_lv = logvar + s_lv * rng.standard_normal(n)
-            cand = target(prop_sav, prop_lv)
+            # one call draws every saving proposal, then every log-variance one
+            prop = state + scales * rng.standard_normal((2, n))
+            cand = target(*prop)
             accept = np.log(rng.random(n)) < cand - cur
-            sav = np.where(accept, prop_sav, sav)
-            logvar = np.where(accept, prop_lv, logvar)
+            state = np.where(accept, prop, state)
             cur = np.where(accept, cand, cur)
             if step >= ps.burn_in:
-                total += sav
-        ps.chain_saving, ps.chain_logvar = sav, logvar
+                total += state[0]
+        ps.chain = state
         ps.chain_mean = total / ps.chain_len
         return ps.chain_mean
 
@@ -406,17 +416,22 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
 
     timeline = _shared_timeline(cfg, scn, seed)
     period = cfg.fading_period_slots
-    noise_rngs = [_stream(cfg.master_seed, seed, 3, i) for i in range(n)]
     policy_rng = _stream(cfg.master_seed, seed, 4)
 
     learner = _learner(cfg, n)
     psbl = _PsblBatch(learner) if cfg.estimator == "psbl" else None
+    noise_sd = np.sqrt(scn.noise_vars)
+    # each user's measurements so far; its noise stream runs on across
+    # tasks and fading blocks, so this never resets
+    n_obs = np.zeros(n, dtype=np.int64)
 
     tau = np.zeros(n, dtype=np.int64)
     backlog = np.zeros(n, dtype=np.int64)
-    # only the index policies rank by the index; the others get zeros
+    # only the index policies rank by the index and only greedy by the
+    # gain; the others get zeros
     index_policy = kind in (PolicyKind.WI, PolicyKind.STLW_WI)
     wi = np.zeros(n)
+    gain = np.zeros(n)
     # 0 until a user's first task (or its first fading block) sets it
     esav_true = np.zeros(n)
 
@@ -436,23 +451,23 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
             if learner is not None and t > 0:
                 learner.reset()
 
-        active = tau > 0
-        esav_ranking = np.where(active, esav_true, 0.0)
+        believed = esav_true
         if learner is not None:
             if psbl is not None:
                 psbl.refresh(policy_rng)
-            est_vals = learner.estimate()
-            esav_ranking = np.where(active, est_vals, 0.0)
+            believed = learner.estimate()
             if trace_lines is not None:
                 trace_lines.extend(
-                    f"{t},{i},{est_vals[i]:.17g},{esav_true[i]:.17g}" for i in range(n)
+                    f"{t},{i},{believed[i]:.17g},{esav_true[i]:.17g}" for i in range(n)
                 )
+        esav_ranking = np.where(tau > 0, believed, 0.0)
 
         if index_policy:
             wi = whittle_index_array(tau, backlog, esav_ranking, caps, beta, penalty)
-        # greedy's immediate advantage of acting: reward(s, 1) - reward(s, 0)
-        gain = reward(tau, backlog, 1, esav_ranking, caps, penalty)
-        gain -= reward(tau, backlog, 0, esav_ranking, caps, penalty)
+        if kind is PolicyKind.GREEDY:
+            # the immediate advantage of acting: reward(s, 1) - reward(s, 0)
+            gain = reward(tau, backlog, 1, esav_ranking, caps, penalty)
+            gain -= reward(tau, backlog, 0, esav_ranking, caps, penalty)
         action = select(kind, slot_keys(tau, backlog, caps, wi, gain), m)
         sel = np.zeros(n, dtype=np.int64)
         sel[list(action.selected)] = 1
@@ -472,12 +487,8 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
         if learner is not None:
             users = np.nonzero(offloading)[0]
             if users.size:
-                obs = np.array(
-                    [
-                        observe(NoiseModel(float(esav_true[i]), float(scn.noise_vars[i])), noise_rngs[i])
-                        for i in users
-                    ]
-                )
+                obs = esav_true[users] + noise_sd[users] * timeline.noise[users, n_obs[users]]
+                n_obs[users] += 1
                 if cfg.estimator == "bl":
                     learner.update(users, obs, policy_rng)
                 else:

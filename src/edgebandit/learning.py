@@ -268,11 +268,12 @@ class PriorSwapWhittleEstimator(_UserStats):
 
     Keeps the conjugate pseudo-posterior's statistics and, per user, the
     state (saving, log variance) of a Metropolis-Hastings chain on the
-    swapped density.  The harness's MH kernel advances every chain by
-    ``burn_in + chain_len`` steps per decision and leaves the mean of the
-    last ``chain_len`` saving components in ``chain_mean``, which is the
-    estimate.  Per-decision cost depends only on the chain length, never
-    on the number of observations.
+    swapped density, as the two rows of ``chain``.  The harness's MH
+    kernel advances every chain by ``burn_in + chain_len`` steps per
+    decision and leaves the mean of the last ``chain_len`` saving
+    components in ``chain_mean``, which is the estimate.  Per-decision
+    cost depends only on the chain length, never on the number of
+    observations.
     """
 
     def __init__(
@@ -299,8 +300,10 @@ class PriorSwapWhittleEstimator(_UserStats):
         self.proposal_factor = proposal_factor
         self.variant = variant
         self.init_theta = init_theta
-        self.chain_saving = np.full(num_users, float(init_theta[0]))
-        self.chain_logvar = np.full(num_users, math.log(init_theta[1]))
+        # every user's chain state: row 0 the saving, row 1 the log variance
+        self.chain = np.empty((2, num_users))
+        self.chain[0] = init_theta[0]
+        self.chain[1] = math.log(init_theta[1])
         self.chain_mean = np.full(num_users, float(init_theta[0]))
 
     def reset(self, users: Optional[np.ndarray] = None) -> None:
@@ -308,6 +311,14 @@ class PriorSwapWhittleEstimator(_UserStats):
         at = slice(None) if users is None else users
         self.chain_saving[at] = self.init_theta[0]
         self.chain_logvar[at] = math.log(self.init_theta[1])
+
+    @property
+    def chain_saving(self) -> np.ndarray:
+        return self.chain[0]
+
+    @property
+    def chain_logvar(self) -> np.ndarray:
+        return self.chain[1]
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every user's conjugate pseudo-posterior ``(lam, mu, phi, nu)``."""

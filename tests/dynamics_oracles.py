@@ -4,9 +4,10 @@ This is the per-user-object form that the array step in
 ``edgebandit.dynamics`` replaced: a frozen ``TaskState`` per user, a scalar
 reward and transition, and a system step that loops over the users and
 reports one event per expired deadline.  Tests check the array step and
-the simulation harness against it.  :func:`replay_timeline` is the
-slot-by-slot form of the episode's action-independent draws, which the
-harness now makes once per (scenario, seed).
+the simulation harness against it.  :func:`replay_timeline` and
+:func:`replay_noise` are the slot-by-slot form of the episode's
+action-independent draws, which the harness now makes once per (scenario,
+seed).
 """
 
 from __future__ import annotations
@@ -205,3 +206,10 @@ def replay_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> tuple[list, lis
                 saving = _draw_saving(cfg, scn, fading_rngs[i], i) if period == 0 else None
                 events.append((t, i, tau[i], size, saving))
     return events, blocks
+
+
+def replay_noise(cfg: SimConfig, seed: int, user: int, k: int) -> list[float]:
+    """The first ``k`` measurement-noise draws of ``user``, one scalar
+    ``standard_normal`` call per measurement, as each offload once drew them."""
+    rng = _stream(cfg.master_seed, seed, 3, user)
+    return [rng.standard_normal() for _ in range(k)]

@@ -1,14 +1,23 @@
 """Harness tests: scenario validation, episode determinism, paired
 randomness, the episode against the reference dynamics, the shared task
-timeline against a slot-by-slot replay, experiment sweeps, and CSV
-round-trips."""
+timeline and measurement noise against a slot-by-slot replay, experiment
+sweeps, and CSV round-trips."""
 
 import dataclasses
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from dynamics_oracles import IDLE, StepWorld, SystemState, TaskState, replay_timeline, step_system
+from dynamics_oracles import (
+    IDLE,
+    StepWorld,
+    SystemState,
+    TaskState,
+    replay_noise,
+    replay_timeline,
+    step_system,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +42,13 @@ from edgebandit.harness import (
     read_csv,
     run_episode,
     run_experiment,
+)
+from edgebandit.learning import (
+    BayesWhittleEstimator,
+    MleWhittleEstimator,
+    NoiseModel,
+    PriorSwapWhittleEstimator,
+    observe,
 )
 
 FAST = {
@@ -254,6 +270,81 @@ class TestEpisodeReplay:
         assert info.completed_tasks == sum(e.completed for e in events)
 
 
+def record_observations(c: SimConfig, seed: int) -> list:
+    """Run one episode, recording ``(slot, users, observations)`` at every
+    learner update; the slot is counted at the harness's calls to ``select``."""
+    calls = []
+    slots = []
+    real_select = harness.select
+
+    def counting(kind, keys, num_servers):
+        slots.append(None)
+        return real_select(kind, keys, num_servers)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "select", counting)
+        for cls in (MleWhittleEstimator, BayesWhittleEstimator, PriorSwapWhittleEstimator):
+
+            def recording(self, users, observations, *rest, real=cls.update):
+                calls.append((len(slots) - 1, users.copy(), observations.copy()))
+                return real(self, users, observations, *rest)
+
+            mp.setattr(cls, "update", recording)
+        _run_episode_full(c, seed)
+    return calls
+
+
+def true_savings(c: SimConfig, scn, seed: int) -> np.ndarray:
+    """Every user's true saving in every slot, from the slot-by-slot replay;
+    with per-task fading a saving holds from the slot after its arrival."""
+    events, blocks = replay_timeline(c, scn, seed)
+    period = c.fading_period_slots
+    out = np.zeros((c.horizon, c.num_users))
+    if period:
+        for t in range(c.horizon):
+            out[t] = blocks[t // period]
+        return out
+    for t, i, _, _, saving in events:  # in slot order: a later task overrides
+        out[t + 1 :, i] = saving
+    return out
+
+
+def assert_observations_replay(c: SimConfig, seed: int) -> int:
+    """Check every recorded observation against ``observe`` on fresh noise
+    streams, drawn in update order with users ascending, and return how
+    many there were."""
+    scn = build_scenario(c, seed)
+    truth = true_savings(c, scn, seed)
+    rngs = [_stream(c.master_seed, seed, 3, i) for i in range(c.num_users)]
+    count = 0
+    for t, users, obs in record_observations(c, seed):
+        assert users.tolist() == sorted(set(users.tolist()))
+        expected = [
+            observe(NoiseModel(float(truth[t, i]), float(scn.noise_vars[i])), rngs[i]) for i in users
+        ]
+        assert obs.tolist() == expected
+        count += len(expected)
+    return count
+
+
+LEARNERS = [("mle", "mean"), ("bl", "mean"), ("bl", "sample"), ("psbl", "mean")]
+
+
+class TestObservationReplay:
+    @pytest.mark.parametrize("fading", [0, 5])
+    @pytest.mark.parametrize("estimator,bl_estimate", LEARNERS)
+    def test_observations_match_scalar_draws(self, estimator, bl_estimate, fading):
+        c = cfg(estimator=estimator, bl_estimate=bl_estimate, fading_period_slots=fading)
+        assert assert_observations_replay(c, 6) > 0
+
+    @given(small_configs(), st.sampled_from(LEARNERS), st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_observations_match_scalar_draws_on_random_configs(self, c, learner, seed):
+        estimator, bl_estimate = learner
+        c = dataclasses.replace(c, estimator=estimator, bl_estimate=bl_estimate)
+        assert_observations_replay(c, seed)
+
+
 def timeline_events(timeline) -> list:
     """The timeline's arrivals as ``(slot, user, duration, size)`` rows."""
     starts = timeline.starts
@@ -317,6 +408,23 @@ class TestTimeline:
         assert timeline_events(timeline) == [e[:4] for e in events]
         savings = blocks if fading else [e[4] for e in events]
         np.testing.assert_array_equal(timeline.saving, np.array(savings, dtype=float), strict=True)
+
+    @given(
+        n=st.integers(1, 6),
+        horizon=st.integers(1, 25),
+        master_seed=st.integers(0, 5),
+        seed=st.integers(0, 1000),
+        k=st.integers(0, 25),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_noise_matches_scalar_draws(self, n, horizon, master_seed, seed, k):
+        c = cfg(num_users=n, num_servers=1, horizon=horizon, master_seed=master_seed)
+        timeline = _draw_timeline(c, build_scenario(c, seed), seed)
+        assert timeline.noise.shape == (n, horizon)
+        k = min(k, horizon)
+        for i in range(n):
+            expected = replay_noise(c, seed, i, k)
+            np.testing.assert_array_equal(timeline.noise[i, :k], expected, strict=True)
 
     def test_policy_side_fields_leave_timeline_equal(self):
         assert set(POLICY_SIDE) == set(harness._POLICY_SIDE_FIELDS)
@@ -451,6 +559,35 @@ class TestRunExperiment:
             path = tmp_path / f"jobs{jobs}.csv"
             emit_csv(result.records, path)
             outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @given(
+        small_configs(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["wi", "stlw-wi", "edf", "lst", "greedy"]),
+                st.sampled_from(["known", "mle", "bl", "psbl"]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.integers(0, 1000), min_size=1, max_size=3, unique=True),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_random_experiments_in_worker_pool_match_serial(self, base, labels, seeds):
+        # every example starts a worker pool, hence the few examples
+        cells = [
+            ExperimentCell(f"c{j}", dataclasses.replace(base, policy=p, estimator=e))
+            for j, (p, e) in enumerate(labels)
+        ]
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for jobs in (2, 1):
+                result = run_experiment(cells, seeds=seeds, jobs=jobs)
+                assert result.ok, result.failures
+                path = Path(tmp) / f"jobs{jobs}.csv"
+                emit_csv(result.records, path)
+                outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
     def test_empty_grid_rejected(self):

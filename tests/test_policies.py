@@ -330,6 +330,21 @@ class TestMatchesOracle:
             assert got == ranked(keys, kind)[:m], kind
             assert policies.select(kind, arrays, m).selected == frozenset(got)
 
+    @settings(max_examples=200, deadline=None)
+    @given(slot_states(), st.data())
+    def test_each_ranking_reads_only_its_own_fields(self, state, data):
+        keys, m = state
+        arrays = as_slot_keys(keys)
+        before = {kind: policies.ranked(kind, arrays, m).tolist() for kind in PolicyKind}
+        readers = {"gain": {PolicyKind.GREEDY}, "wi": {PolicyKind.WI, PolicyKind.STLW_WI}}
+        values = st.lists(st.floats(-10.0, 10.0), min_size=len(keys), max_size=len(keys))
+        for field, kinds in readers.items():
+            other = arrays.copy()
+            other[field] = data.draw(values, label=field)
+            for kind in PolicyKind:
+                if kind not in kinds:
+                    assert policies.ranked(kind, other, m).tolist() == before[kind], (field, kind)
+
     def test_exact_slack_beyond_int64_lcm(self):
         # capacities whose lcm exceeds 2**31 take the Python-integer path
         caps = [29, 31, 37, 41, 43, 47, 53]
