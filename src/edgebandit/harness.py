@@ -575,18 +575,25 @@ def _size_matrix(cfg: SimConfig, capacity: int) -> np.ndarray:
 
 
 def build_arm_chains(cfg: SimConfig, seed: int, scn: Optional[Scenario] = None) -> list[ArmChain]:
-    """Per-user decoupled chains matching the scenario of (cfg, seed)."""
+    """Per-user decoupled chains matching the scenario of (cfg, seed).
+
+    The arrival law and each capacity's size table are one read-only array
+    shared by the arms that have them.
+    """
     if scn is None:
         scn = build_scenario(cfg, seed)
     penalty = cfg.penalty_fn()
     dur = np.full(cfg.max_task_duration, 1.0 / cfg.max_task_duration)
+    sizes = {k: _size_matrix(cfg, k) for k in np.unique(scn.capacities).tolist()}
+    for table in (dur, *sizes.values()):
+        table.setflags(write=False)
     return [
         ArmChain(
             capacity=int(scn.capacities[i]),
             penalty=penalty,
             arrival_prob=cfg.arrival_prob,
             duration_probs=dur,
-            size_probs=_size_matrix(cfg, int(scn.capacities[i])),
+            size_probs=sizes[int(scn.capacities[i])],
             esav_values=_esav_quantile_samples(cfg, scn, i),
         )
         for i in range(cfg.num_users)

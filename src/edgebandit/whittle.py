@@ -11,9 +11,23 @@ two is evidence, not tautology.
 One within-task backward induction, :func:`_induction`, serves both the
 oracle and the indexability check (a batch of subsidies on its trailing
 axis) and the relaxed bound (one subsidy, a group of arms' saving samples
-on its trailing axis).  The bound's values are still checked against an
-independent value iteration over the joint recurrent chain, kept with the
-scalar threshold search in ``tests/whittle_oracles.py``.
+on its trailing axis).  Each level multiplies the previous values by the
+discount once, reads the passive (b-1) and active (b-capacity) successor
+rows as slices clamped at the empty row, takes the value as the maximum
+of the two actions and selects the derivative in place.  The terms that
+do not depend on the subsidy (the saving on rows with work and the
+deadline level) are built once: per call for the oracle, and per bound
+for the relaxed bound, which groups and stacks its arms once
+(:func:`_arm_groups`) and evaluates every subsidy of its dual search on
+those groups.  The bound's horizon-truncated tables stop one level short
+of the deadline tables, because the finite-horizon recursion never reads
+their last level.
+
+The bound's values are checked against an independent value iteration
+over the joint recurrent chain, kept with the scalar threshold search in
+``tests/whittle_oracles.py``; the per-call kernel it replaced (fancy-index
+gathers, ``np.where`` selects, arms regrouped at every subsidy) is kept
+there too, and the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -237,55 +251,88 @@ class SubsidizedArmMDP:
         return mask
 
 
+def _work_terms(e, capacity: int, fpen: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The subsidy-free terms of :func:`_induction` for saving ``e``.
+
+    Returns ``(e_work, deadline)``: the saving on rows with backlog (0 on
+    the empty row), backlog leading, and the deadline level's terms
+    ``(passive penalty, active value)``, the penalty on the leftover after
+    one passive slot and the saving less the penalty after one active one.
+    ``fpen`` is the penalty on 0..b_max.
+    """
+    b = np.arange(fpen.size)
+    has_work = (b > 0)[:, None]
+    e_work = np.where(has_work, e, 0.0)
+    pen_passive = np.where(has_work, fpen[np.maximum(b - 1, 0), None], 0.0)
+    q_active = e_work - np.where(has_work, fpen[np.maximum(b - capacity, 0), None], 0.0)
+    return e_work, (pen_passive, q_active)
+
+
 def _induction(
     delta,
-    e,
+    e_work: np.ndarray,
     capacity: int,
-    fpen: np.ndarray,
     levels: int,
     beta: float,
-    with_deadline: bool = True,
+    deadline: Optional[tuple[np.ndarray, np.ndarray]] = None,
     force_active: bool = False,
     derivative: bool = True,
 ):
     """Backward induction of the subsidized arm within one task.
 
     Yields ``(passive, value, derivative)`` for tau = 1..``levels``, each of
-    shape (backlog, X): backlog leads, so the passive and active successors
-    are row gathers, and the subsidy ``delta`` and saving ``e`` broadcast
-    over the trailing axis X.  ``fpen`` is the penalty on 0..b_max.  The
-    continuation after the last slot is zero.  With ``with_deadline`` the
-    first level charges the non-completion penalty; without it the task is
-    cut off before its deadline.  Ties resolve to the passive action,
-    matching the infimum in the index definition; ``force_active`` acts
-    everywhere.  The derivative in the subsidy is the discounted number of
-    passive slots under the actions picked: each value is a max of
-    functions affine in the subsidy, so it is a subgradient at a kink.
-    Without ``derivative`` it is not carried, and None is yielded for it.
+    shape (backlog, X): backlog leads, so the passive successor (b-1) and
+    the active one (b-capacity), clamped at the empty row, are row slices,
+    and the subsidy ``delta`` and the saving in ``e_work`` broadcast over
+    the trailing axis X.  ``e_work`` and ``deadline`` come from
+    :func:`_work_terms`.  The continuation after the last slot is zero.
+    With ``deadline`` the first level charges the non-completion penalty;
+    without it the task is cut off before its deadline.  Ties resolve to
+    the passive action, matching the infimum in the index definition;
+    ``force_active`` acts everywhere.  The derivative in the subsidy is the
+    discounted number of passive slots under the actions picked: each
+    value is a max of functions affine in the subsidy, so it is a
+    subgradient at a kink.  Without ``derivative`` it is not carried, and
+    None is yielded for it.  Every array yielded is new.
     """
-    b = np.arange(fpen.size)
-    has_work = (b > 0)[:, None]
-    idx_passive = np.maximum(b - 1, 0)
-    idx_active = np.maximum(b - capacity, 0)
-    shape = np.broadcast_shapes(has_work.shape, np.shape(delta), np.shape(e))
-    e_work = np.where(has_work, e, 0.0)
+    shape = np.broadcast_shapes(e_work.shape, np.shape(delta))
+    rows = shape[0]
+    k = min(capacity, rows - 1)  # rows 0..k have the empty row as active successor
     v = np.zeros(shape)
     dv = np.zeros(shape) if derivative else None
     for level in range(1, levels + 1):
-        if with_deadline and level == 1:
-            q0 = delta - np.where(has_work, fpen[idx_passive, None], 0.0)
-            q1 = e_work - np.where(has_work, fpen[idx_active, None], 0.0)
-            dq0, dq1 = 1.0, 0.0
+        first = deadline is not None and level == 1
+        if first:
+            pen_passive, q1 = deadline
+            q0 = delta - pen_passive
         else:
-            q0 = delta + beta * v[idx_passive]
-            q1 = e_work + beta * v[idx_active]
+            bv = beta * v
+            q0 = np.empty(shape)
+            np.add(delta, bv[:1], out=q0[:1])
+            np.add(delta, bv[:-1], out=q0[1:])
+            q1 = np.empty(shape)
+            np.add(e_work[: k + 1], bv[:1], out=q1[: k + 1])
+            np.add(e_work[k + 1 :], bv[1 : rows - k], out=q1[k + 1 :])
             if derivative:
-                dq0 = 1.0 + beta * dv[idx_passive]
-                dq1 = beta * dv[idx_active]
-        passive = np.zeros(shape, dtype=bool) if force_active else q0 >= q1
-        v = np.where(passive, q0, q1)
+                bdv = beta * dv
+                dq0 = np.empty(shape)
+                np.add(1.0, bdv[:1], out=dq0[:1])
+                np.add(1.0, bdv[:-1], out=dq0[1:])
+                dq1 = np.empty(shape)
+                dq1[: k + 1] = bdv[:1]
+                dq1[k + 1 :] = bdv[1 : rows - k]
+        if force_active:
+            passive = np.zeros(shape, dtype=bool)
+            v = np.array(np.broadcast_to(q1, shape))
+        else:
+            passive = q0 >= q1
+            v = np.maximum(q0, q1)
         if derivative:
-            dv = np.where(passive, dq0, dq1)
+            if first:  # one passive slot or none, then the deadline
+                dv = passive.astype(np.float64)
+            else:
+                np.copyto(dq1, dq0, where=passive)
+                dv = dq1
         yield passive, v, dv
 
 
@@ -303,10 +350,8 @@ def _solve_arm(mdp: SubsidizedArmMDP, subsidies: np.ndarray) -> tuple[np.ndarray
     # tau = 0: one-shot comparison at the idle state (subsidy vs nothing)
     passive[0] = d >= 0.0
     values[0] = np.maximum(d, 0.0)
-    levels = _induction(
-        d, mdp.e_saving, mdp.capacity, mdp.penalty.table(mdp.max_backlog), mdp.horizon, mdp.discount,
-        derivative=False,
-    )
+    e_work, deadline = _work_terms(mdp.e_saving, mdp.capacity, mdp.penalty.table(mdp.max_backlog))
+    levels = _induction(d, e_work, mdp.capacity, mdp.horizon, mdp.discount, deadline, derivative=False)
     for tau, (p, v, _) in enumerate(levels, start=1):
         passive[tau] = p
         values[tau] = v
@@ -439,42 +484,106 @@ class ArmChain:
             raise ValueError("size_probs must be (durations, sizes), conditional on duration")
 
 
+@dataclass(frozen=True)
+class _ArmGroup:
+    """Arms sharing everything but their saving samples, stacked for one
+    :func:`_induction` per subsidy and variant."""
+
+    capacity: int
+    size_probs: np.ndarray  # (L, B) size distribution conditional on duration
+    n_samples: int  # saving samples per arm
+    e_work: np.ndarray  # (B + 1, arms * samples), from _work_terms
+    deadline: tuple[np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class _ArrivalLaw:
+    """The groups of arms sharing one arrival law, with the law's
+    subsidy-free coefficients: the renewal denominator and the
+    finite-horizon recursion's tail probabilities and weights."""
+
+    arrival_prob: float
+    dur_probs: np.ndarray
+    n_arms: int
+    groups: tuple[_ArmGroup, ...]
+    renewal_denom: float
+    tail_prob: np.ndarray  # P(duration >= d), d = 1..L+1
+    weights: np.ndarray  # admission-discounted duration weights
+
+
+def _arm_groups(arms: Sequence[ArmChain], beta: float) -> list[_ArrivalLaw]:
+    """Group and stack the arms once, for every subsidy of a bound.
+
+    Arms that differ only in their saving samples share one group, and
+    groups sharing the arrival law share one law; both keep the order in
+    which their first arm appears.
+    """
+    by_law: dict = {}  # arrival law -> group key -> arms
+    for a in arms:
+        law_key = (a.arrival_prob, a.duration_probs.tobytes())
+        group_key = (a.capacity, a.penalty, a.size_probs.tobytes(), len(a.esav_values))
+        by_law.setdefault(law_key, {}).setdefault(group_key, []).append(a)
+
+    laws = []
+    for members in by_law.values():
+        proto = next(iter(members.values()))[0]
+        q, dur = proto.arrival_prob, proto.duration_probs
+        groups = []
+        for group in members.values():
+            first = group[0]
+            esav = np.stack([a.esav_values for a in group]).astype(np.float64, copy=False)
+            e_work, deadline = _work_terms(
+                esav.ravel(), first.capacity, first.penalty.table(first.size_probs.shape[1])
+            )
+            groups.append(_ArmGroup(first.capacity, first.size_probs, esav.shape[1], e_work, deadline))
+        phi = float(dur @ beta ** np.arange(1, len(dur) + 1))
+        beta_pow = beta ** np.arange(len(dur) + 1)
+        laws.append(
+            _ArrivalLaw(
+                arrival_prob=q,
+                dur_probs=dur,
+                n_arms=sum(len(group) for group in members.values()),
+                groups=tuple(groups),
+                renewal_denom=1.0 - (1.0 - q) * beta - q * phi,
+                tail_prob=np.concatenate([np.cumsum(dur[::-1])[::-1], [0.0]]),
+                weights=dur * beta_pow[1:],
+            )
+        )
+    return laws
+
+
 def _level_means(
-    esav: np.ndarray,  # (A, E) stacked saving samples, one row per arm
-    capacity: int,
-    penalty: PenaltyFn,
-    size_probs: np.ndarray,  # (L, B) size distribution conditional on duration
+    group: _ArmGroup,
     delta: float,
     beta: float,
+    n_levels: int,
     with_deadline: bool,
     force_active: bool = False,
 ) -> np.ndarray:
     """Arm-summed expected within-task values at arrival and their
     derivatives in the subsidy, one column per task length.
 
-    One :func:`_induction` at one subsidy, over a group of arms sharing
-    everything but their saving samples.  Returns shape (2, L):
-    out[0, d-1] = sum_a E_{B|d, e}[value of a d-level task] and out[1, d-1]
-    its derivative, the expected discounted number of passive slots.
+    One :func:`_induction` at one subsidy over a group of arms.  Returns
+    shape (2, ``n_levels``): out[0, d-1] = sum_a E_{B|d, e}[value of a
+    d-level task] and out[1, d-1] its derivative, the expected discounted
+    number of passive slots.
     """
-    n_levels, b_max = size_probs.shape
     levels = _induction(
-        delta, np.asarray(esav, dtype=np.float64).ravel(), capacity, penalty.table(b_max),
-        n_levels, beta, with_deadline, force_active,
+        delta, group.e_work, group.capacity, n_levels, beta,
+        group.deadline if with_deadline else None, force_active,
     )
     out = np.zeros((2, n_levels))
     for level, (_, v, dv) in enumerate(levels):
-        out[0, level] = size_probs[level] @ v[1:].sum(axis=1)
-        out[1, level] = size_probs[level] @ dv[1:].sum(axis=1)
-    return out / esav.shape[1]
+        out[0, level] = group.size_probs[level] @ v[1:].sum(axis=1)
+        out[1, level] = group.size_probs[level] @ dv[1:].sum(axis=1)
+    return out / group.n_samples
 
 
 def _finite_chain_values(
     gbar: np.ndarray,  # (R, L) deadline-inside task values at arrival
-    hbar: np.ndarray,  # (R, L) horizon-truncated task values at arrival
+    hbar: np.ndarray,  # (R, L-1) horizon-truncated task values at arrival
     idle_gain: np.ndarray,  # (R,)
-    dur_probs: np.ndarray,
-    arrival_prob: float,
+    law: _ArrivalLaw,
     beta: float,
     horizon: int,
 ) -> np.ndarray:
@@ -482,17 +591,15 @@ def _finite_chain_values(
 
     C(r) is the value entering a slot with r reward slots left in the
     arrival-mixture state; tasks longer than the remaining horizon never
-    reach their deadline and use the truncated tables.  The value is linear
-    in (idle gain, gbar, hbar), so each row may hold a sum over arms or a
-    derivative.
+    reach their deadline and use the truncated tables, read only for
+    r < L.  The value is linear in (idle gain, gbar, hbar), so each row may
+    hold a sum over arms or a derivative.
     """
     n_levels = gbar.shape[1]
-    q = arrival_prob
-    beta_pow = beta ** np.arange(n_levels + 1)
-    tail_prob = np.concatenate([np.cumsum(dur_probs[::-1])[::-1], [0.0]])  # P(dur >= d)
-    weights = dur_probs * beta_pow[1:]  # admission-discounted duration weights
-    gsum_full = gbar @ dur_probs  # (R,): arrival value with zero continuation
-    gsum_part = np.cumsum(gbar * dur_probs, axis=1)  # partial sums
+    q = law.arrival_prob
+    tail_prob, weights = law.tail_prob, law.weights
+    gsum_full = gbar @ law.dur_probs  # (R,): arrival value with zero continuation
+    gsum_part = np.cumsum(gbar * law.dur_probs, axis=1)  # partial sums
 
     c_hist = np.zeros((horizon, gbar.shape[0]))  # c_hist[r] = C(r)
     for r in range(1, horizon):
@@ -508,6 +615,45 @@ def _finite_chain_values(
     return idle_gain + beta * c_hist[horizon - 1]
 
 
+def _group_terms(
+    laws: Sequence[_ArrivalLaw],
+    delta: float,
+    beta: float,
+    horizon: Optional[int],
+    force_active: bool = False,
+) -> np.ndarray:
+    """Sum over the grouped arms of the value at subsidy ``delta`` and its
+    derivative, as ``array([value, derivative])``.
+
+    The renewal (``horizon=None``) and finite-horizon values are linear in
+    (idle gain, task values), with coefficients set by the arrival law, so
+    the groups of a law are summed before the horizon recursion and
+    derivatives go through the same map as values.  The truncated tables
+    stop one level short of the deadline tables: the recursion never reads
+    their last level.
+    """
+    if force_active:
+        idle_gain = np.zeros(2)
+    else:
+        idle_gain = np.array([max(delta, 0.0), 1.0 if delta > 0.0 else 0.0])
+    total = np.zeros(2)
+    for law in laws:
+        n_levels = len(law.dur_probs)
+        gbar = hbar = 0.0
+        for group in law.groups:
+            gbar = gbar + _level_means(group, delta, beta, n_levels, True, force_active)
+            if horizon is not None:
+                hbar = hbar + _level_means(group, delta, beta, n_levels - 1, False, force_active)
+        idle = law.n_arms * idle_gain
+        if horizon is None:
+            q = law.arrival_prob
+            cont = ((1.0 - q) * idle + q * (gbar @ law.dur_probs)) / law.renewal_denom
+            total += idle + beta * cont
+        else:
+            total += _finite_chain_values(gbar, hbar, idle, law, beta, horizon)
+    return total
+
+
 def _chain_terms(
     arms: Sequence[ArmChain],
     delta: float,
@@ -515,54 +661,8 @@ def _chain_terms(
     horizon: Optional[int],
     force_active: bool = False,
 ) -> np.ndarray:
-    """Sum over arms of the value at subsidy ``delta`` and its derivative,
-    as ``array([value, derivative])``.
-
-    Arms that differ only in their saving samples share one induction.
-    The renewal (``horizon=None``) and finite-horizon values are linear in
-    (idle gain, task values), with coefficients set by the arrival law, so
-    arms sharing the arrival law are summed before the horizon recursion
-    and derivatives go through the same map as values.
-    """
-    if force_active:
-        idle_gain = np.zeros(2)
-    else:
-        idle_gain = np.array([max(delta, 0.0), 1.0 if delta > 0.0 else 0.0])
-    groups: dict = {}
-    for a in arms:
-        key = (
-            a.arrival_prob,
-            a.duration_probs.tobytes(),
-            a.capacity,
-            a.penalty,
-            a.size_probs.tobytes(),
-            len(a.esav_values),
-        )
-        groups.setdefault(key, []).append(a)
-
-    laws: dict = {}  # arrival law -> [prototype arm, arms, gbar sum, hbar sum]
-    for key, members in groups.items():
-        proto = members[0]
-        esav = np.stack([a.esav_values for a in members])
-        law = laws.setdefault(key[:2], [proto, 0, 0.0, 0.0])
-        law[1] += len(members)
-        args = (esav, proto.capacity, proto.penalty, proto.size_probs, delta, beta)
-        law[2] = law[2] + _level_means(*args, True, force_active)
-        if horizon is not None:
-            law[3] = law[3] + _level_means(*args, False, force_active)
-
-    total = np.zeros(2)
-    for proto, n_arms, gbar, hbar in laws.values():
-        q, dur = proto.arrival_prob, proto.duration_probs
-        idle = n_arms * idle_gain
-        if horizon is None:
-            phi = float(dur @ beta ** np.arange(1, len(dur) + 1))
-            denom = 1.0 - (1.0 - q) * beta - q * phi
-            cont = ((1.0 - q) * idle + q * (gbar @ dur)) / denom
-            total += idle + beta * cont
-        else:
-            total += _finite_chain_values(gbar, hbar, idle, dur, q, beta, horizon)
-    return total
+    """:func:`_group_terms` of ``arms`` grouped for this one subsidy."""
+    return _group_terms(_arm_groups(arms, beta), delta, beta, horizon, force_active)
 
 
 def relaxed_upper_bound(
@@ -611,9 +711,10 @@ def relaxed_upper_bound(
         _bracket(a.penalty, a.size_probs.shape[1], float(np.max(np.abs(a.esav_values))))
         for a in arms
     )
+    laws = _arm_groups(arms, discount)
 
     def dual(delta: float) -> tuple[float, float]:
-        value, passive_time = _chain_terms(arms, delta, discount, horizon)
+        value, passive_time = _group_terms(laws, delta, discount, horizon)
         return float(value) - slope * delta, float(passive_time) - slope
 
     left, right = -width, width

@@ -5,9 +5,11 @@ preset's records.  A change that alters any digest changes what the
 simulator reports, and must say so.  Small cases run every preset at
 N=8, M=3, T=12 for seeds 0 and 1; bound cases are small cases with the
 relaxed upper bound in every record, down to its last bit; full cases run
-fig6 and fig8 at the paper size for seed 0.  The index-vs-oracle grid
-that ``verify-index`` writes is pinned the same way, so the subsidy
-threshold oracle is held to its exact bits too.
+fig6 and fig8 at the paper size for seed 0.  The relaxed bound is also
+pinned on its own at the paper size, where a group of arms sharing a
+capacity holds dozens of arms.  The index-vs-oracle grid that
+``verify-index`` writes is pinned the same way, so the subsidy threshold
+oracle is held to its exact bits too.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import pytest
 
 from edgebandit.cli import main
 from edgebandit.config import ExperimentCell, apply_overrides, preset_cells
-from edgebandit.harness import emit_csv, run_experiment
+from edgebandit.harness import compute_relaxed_bound, emit_csv, run_experiment
 
 SMALL = {"num_users": 8, "num_servers": 3, "horizon": 12}
 
@@ -32,6 +34,15 @@ DIGESTS = {
     ("fig8", "full"): "7970bc06d99914b178128273f96dd33ffde8d94001c704bbfd724428ce7b0f49",
     ("fig3a", "bound"): "c119d02e36719be701358379b756acbc74d5c5731ee9ae27134982c5804658c9",
     ("fig6", "bound"): "8242f463435b4f3b461b9528a2f678d3860c3a721342082d110dfc8b26ef20b6",
+}
+
+# compute_relaxed_bound at the paper size: (preset, seed, horizon) -> repr;
+# horizon -1 is the run's own horizon
+BOUNDS = {
+    ("fig6", 0, -1): "-1523.9474763851867",
+    ("fig6", 1, -1): "-1726.212932882625",
+    ("fig6", 0, None): "-1810.8826557118155",
+    ("fig3a", 0, -1): "-772.7812440281778",  # the N=60 cell
 }
 
 # verify-index --penalty experiment --alpha 5 --capacity 2 --e-saving -1
@@ -54,3 +65,9 @@ def test_verify_index_digest(tmp_path):
     args = ["--penalty", "experiment", "--alpha", "5", "--capacity", "2", "--e-saving", "-1"]
     assert main(["verify-index", *args, "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_INDEX_DIGEST
+
+
+@pytest.mark.parametrize("preset,seed,horizon", list(BOUNDS), ids=[f"{p}-{s}-{h}" for p, s, h in BOUNDS])
+def test_bound_at_paper_size(preset, seed, horizon):
+    config = preset_cells(preset)[0].config
+    assert compute_relaxed_bound(config, seed, horizon=horizon) == float(BOUNDS[preset, seed, horizon])

@@ -20,6 +20,7 @@ from dynamics_oracles import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from whittle_oracles import arm_groups_reference
 
 from edgebandit import harness
 from edgebandit.config import (
@@ -34,8 +35,10 @@ from edgebandit.harness import (
     RunRecord,
     _draw_timeline,
     _run_episode_full,
+    _size_matrix,
     _stream,
     _task_generator,
+    build_arm_chains,
     build_scenario,
     compute_relaxed_bound,
     emit_csv,
@@ -50,6 +53,7 @@ from edgebandit.learning import (
     PriorSwapWhittleEstimator,
     observe,
 )
+from edgebandit.whittle import _arm_groups
 
 FAST = {
     "num_users": 12,
@@ -493,6 +497,30 @@ class TestRelaxedBoundIntegration:
         finite = compute_relaxed_bound(c, 0)
         infinite = compute_relaxed_bound(c, 0, horizon=None)
         assert finite != infinite
+
+    @pytest.mark.parametrize("preset", ["fig3a", "fig6", "fig8"])
+    def test_size_tables_shared_per_capacity(self, preset):
+        c = preset_cells(preset)[0].config
+        chains = build_arm_chains(c, 0)
+        tables = {id(a.size_probs): a.size_probs for a in chains}
+        capacities = sorted({a.capacity for a in chains})
+        assert len(tables) == len(capacities) > 1
+        for k in capacities:
+            shared = {id(a.size_probs) for a in chains if a.capacity == k}
+            assert len(shared) == 1
+            table = tables[shared.pop()]
+            assert not table.flags.writeable
+            assert np.array_equal(table, _size_matrix(c, k))
+
+    @pytest.mark.parametrize("preset", ["fig3a", "fig6", "fig8"])
+    def test_arm_groups_match_reference_grouping(self, preset):
+        for cell in preset_cells(preset):
+            chains = build_arm_chains(cell.config, 0)
+            laws = _arm_groups(chains, cell.config.discount)
+            reference = arm_groups_reference(chains)
+            assert [g.e_work.shape[1] // g.n_samples for law in laws for g in law.groups] == [
+                len(members) for members in reference.values()
+            ]
 
 
 class TestRunExperiment:

@@ -13,13 +13,21 @@ import pytest
 from dynamics_oracles import TaskState
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from whittle_oracles import arm_chain_value_reference, subsidy_threshold
+from whittle_oracles import (
+    arm_chain_value_reference,
+    arm_groups_reference,
+    chain_terms_reference,
+    solve_arm_reference,
+    subsidy_threshold,
+)
 
 from edgebandit.dynamics import PenaltyFn
 from edgebandit.whittle import (
     ArmChain,
     SubsidizedArmMDP,
+    _arm_groups,
     _chain_terms,
+    _group_terms,
     _solve_arm,
     indexability_check,
     relaxed_upper_bound,
@@ -382,3 +390,88 @@ class TestRelaxedBound:
     def test_bad_discount_rejected(self):
         with pytest.raises(ValueError):
             relaxed_upper_bound([small_chain()], 1, 1.0)
+
+
+# savings and subsidies on a coarse grid as well as anywhere, so that the
+# passive and active values tie often
+EXACT_TIES = st.integers(-4, 4).map(lambda x: x / 2.0)
+PENALTIES = st.builds(
+    lambda form, alpha: getattr(PenaltyFn, form)(alpha),
+    st.sampled_from(["theory", "experiment"]),
+    st.sampled_from([0.0, 0.5, 1.0, 5.0]),
+)
+
+
+@st.composite
+def random_arm_sets(draw):
+    """1-6 arms on one grid of task lengths and sizes, drawn from one or two
+    arrival laws, two penalties and a size table per capacity, so that
+    some arms share a group and some groups share a law."""
+    n_levels = draw(st.integers(1, 4))
+    b_max = draw(st.integers(1, 8))
+    weight = st.floats(0.01, 1.0)
+
+    def distribution(shape):
+        w = np.array(draw(st.lists(weight, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
+        w = w.reshape(shape)
+        return w / w.sum(axis=-1, keepdims=True)
+
+    laws = [(draw(st.floats(0.0, 1.0)), distribution(n_levels)) for _ in range(draw(st.integers(1, 2)))]
+    penalties = [draw(PENALTIES), draw(PENALTIES)]
+    sizes: dict = {}
+    arms = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, 4))
+        if k not in sizes:
+            sizes[k] = distribution((n_levels, b_max))
+        q, dur = draw(st.sampled_from(laws))
+        saving = st.one_of(st.floats(-2.0, 2.0), EXACT_TIES)
+        arms.append(
+            ArmChain(
+                capacity=k,
+                penalty=draw(st.sampled_from(penalties)),
+                arrival_prob=q,
+                duration_probs=dur,
+                size_probs=sizes[k],
+                esav_values=np.array(draw(st.lists(saving, min_size=1, max_size=3))),
+            )
+        )
+    return arms
+
+
+class TestKernelMatchesReference:
+    """The bound's kernel against the per-call reference in
+    ``whittle_oracles``: the same float operations, so equal bits."""
+
+    @given(
+        random_arm_sets(),
+        st.lists(st.one_of(st.floats(-4.0, 4.0), EXACT_TIES), min_size=1, max_size=3),
+        st.floats(0.5, 0.98),
+        st.sampled_from([None, 1, 3, 25]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chain_terms_equal_reference(self, arms, deltas, beta, horizon, force_active):
+        laws = _arm_groups(arms, beta)
+        assert sum(len(law.groups) for law in laws) == len(arm_groups_reference(arms))
+        for delta in deltas:  # the prebuilt groups serve every subsidy unchanged
+            expected = chain_terms_reference(arms, delta, beta, horizon, force_active)
+            assert list(_chain_terms(arms, delta, beta, horizon, force_active)) == list(expected)
+            assert list(_group_terms(laws, delta, beta, horizon, force_active)) == list(expected)
+
+    @given(
+        st.integers(0, 6),
+        st.integers(0, 12),
+        st.integers(1, 5),
+        st.floats(0.5, 0.98),
+        PENALTIES,
+        st.one_of(st.floats(-2.0, 2.0), EXACT_TIES),
+        st.lists(st.one_of(st.floats(-5.0, 5.0), EXACT_TIES), min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_solve_arm_equal_reference(self, horizon, b_max, k, beta, penalty, e, subsidies):
+        m = SubsidizedArmMDP(horizon, b_max, k, beta, penalty, e)
+        passive, values = _solve_arm(m, subsidies)
+        ref_passive, ref_values = solve_arm_reference(m, subsidies)
+        assert np.array_equal(passive, ref_passive)
+        assert np.array_equal(values, ref_values)
