@@ -28,6 +28,16 @@ over the joint recurrent chain, kept with the scalar threshold search in
 ``tests/whittle_oracles.py``; the per-call kernel it replaced (fancy-index
 gathers, ``np.where`` selects, arms regrouped at every subsidy) is kept
 there too, and the two must agree bit for bit.
+
+The bound minimizes its convex, piecewise-linear dual over the subsidy by
+a one-dimensional cutting-plane search (Kelley 1960).  The tangents at the
+two ends of the bracket give the next subsidy to evaluate, with a
+bisection step when two such steps fail to halve the bracket.  Their
+crossing is also a lower bound on the minimum, so the search stops once
+the least dual value evaluated is within ``refine_tol`` relative of it;
+an end of the bracket whose subgradient already points outward (zero or
+its rounding included) is the minimum itself.  The sign bisection this
+search replaced is kept in ``tests/whittle_oracles.py`` as the reference.
 """
 
 from __future__ import annotations
@@ -670,7 +680,7 @@ def relaxed_upper_bound(
     num_servers: int,
     discount: float,
     horizon: Optional[int] = None,
-    refine_tol: float = 1e-6,
+    refine_tol: float = 1e-12,
 ) -> float:
     """Upper bound on any feasible policy's expected discounted reward.
 
@@ -679,23 +689,37 @@ def relaxed_upper_bound(
     (``1/(1-beta)`` or its ``horizon``-slot truncation).  g is convex and
     piecewise linear (a sum of maxima of affine functions minus an affine
     term), and the value induction also returns a subgradient: the
-    expected discounted passive time summed over arms, minus the slope.  A
-    bisection on the sign of that subgradient, started from a bracket
-    where every arm is always active (subgradient ``-slope``) or always
-    passive (``M * S >= 0``), stops once the bracket is within
-    ``refine_tol`` relative or the subgradient is 0.  One last evaluation
-    where the tangents at the bracket's ends meet lands on the minimizing
-    kink when the bracket holds only one.  The least g evaluated is
-    returned; by weak duality every g(delta) is an upper bound, whatever
-    the search accuracy.  With ``horizon`` set, the value functions account
-    for episode truncation exactly, so the bound dominates finite-run
-    rewards even when per-slot rewards are negative.
+    expected discounted passive time summed over arms, minus the slope.
+
+    The search is a one-dimensional cutting-plane method (Kelley 1960).  It
+    evaluates both ends of a bracket where every arm is always active
+    (subgradient ``-slope``) or always passive (``M * S``); a subgradient
+    ``>= 0`` at the left end or ``<= 0`` at the right end (at M = 0 it
+    rounds to either sign of 0) puts the minimum at that end.  Otherwise
+    the next subsidy is where the tangents at the bracket's ends cross,
+    kept strictly inside the bracket, and the new point replaces the end
+    whose subgradient has its sign.  When two tangent steps in a row fail
+    to halve the bracket, a bisection step follows.  No g in the
+    bracket lies below the crossing's height on the tangents, so the search
+    stops once the least g evaluated is within ``refine_tol * (1 + |g|)``
+    of it: the result is then within that gap of the best bound this
+    relaxation gives.  It also stops at a zero subgradient (a minimizer)
+    and when the bracket can no longer shrink in floating point.
+
+    The least g evaluated is returned; by weak duality every g(delta) is an
+    upper bound, whatever the search accuracy.  With ``horizon`` set, the
+    value functions account for episode truncation exactly, so the bound
+    dominates finite-run rewards even when per-slot rewards are negative.
     """
     n = len(arms)
     if n == 0:
         raise ValueError("no arms")
     if num_servers > n:
         raise ValueError("more servers than arms")
+    if num_servers < 0:
+        raise ValueError("negative number of servers")
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be None or at least 1")
     if not 0.0 < discount < 1.0:
         raise ValueError("bound requires discount in (0, 1)")
     if num_servers == n:
@@ -713,29 +737,32 @@ def relaxed_upper_bound(
     )
     laws = _arm_groups(arms, discount)
 
-    def dual(delta: float) -> tuple[float, float]:
+    def dual(delta: float) -> tuple[float, float, float]:
         value, passive_time = _group_terms(laws, delta, discount, horizon)
-        return float(value) - slope * delta, float(passive_time) - slope
+        return delta, float(value) - slope * delta, float(passive_time) - slope
 
-    left, right = -width, width
-    lo = hi = None  # (delta, g, g') at the bracket ends once evaluated
-    best = math.inf
-    while True:
-        delta = 0.5 * (left + right)
-        g, grad = dual(delta)
-        best = min(best, g)
-        if grad == 0.0:
-            return best
-        if grad > 0.0:
-            right, hi = delta, (delta, g, grad)
-        else:
-            left, lo = delta, (delta, g, grad)
-        if right - left <= refine_tol * (1.0 + abs(delta)):
-            break
-    if lo is not None and hi is not None:
-        # g is piecewise linear: with one kink left in the bracket, the
-        # tangents at its ends meet exactly there
+    lo, hi = dual(-width), dual(width)  # (delta, g, g') at the bracket's ends
+    best = min(lo[1], hi[1])
+    # tangent steps since the bracket last halved, and its width then
+    steps, halved_at = 0, hi[0] - lo[0]
+    # a zero subgradient lands in ``lo`` and ends the loop: it is a minimizer
+    while lo[2] < 0.0 < hi[2]:
         (d0, g0, s0), (d1, g1, s1) = lo, hi
         kink = (g1 - g0 + s0 * d0 - s1 * d1) / (s0 - s1)
-        best = min(best, dual(min(max(kink, d0), d1))[0])
+        # the tangents' crossing is a lower bound on g over the bracket
+        if best - (g0 + s0 * (kink - d0)) <= refine_tol * (1.0 + abs(best)):
+            break
+        tangent = steps < 2 and d0 < kink < d1
+        delta = kink if tangent else 0.5 * (d0 + d1)
+        if not d0 < delta < d1:
+            break
+        point = dual(delta)
+        best = min(best, point[1])
+        if point[2] > 0.0:
+            hi = point
+        else:
+            lo = point
+        steps += 1
+        if not tangent or hi[0] - lo[0] <= 0.5 * halved_at:
+            steps, halved_at = 0, hi[0] - lo[0]
     return best

@@ -7,15 +7,19 @@ N=8, M=3, T=12 for seeds 0 and 1; bound cases are small cases with the
 relaxed upper bound in every record, down to its last bit; full cases run
 fig6 and fig8 at the paper size for seed 0.  The relaxed bound is also
 pinned on its own at the paper size, where a group of arms sharing a
-capacity holds dozens of arms.  The index-vs-oracle grid that
-``verify-index`` writes is pinned the same way, so the subsidy threshold
-oracle is held to its exact bits too.
+capacity holds dozens of arms; there the dual search's evaluations are
+also counted against the sign bisection it replaced.  The index-vs-oracle
+grid that ``verify-index`` writes is pinned the same way, so the subsidy
+threshold oracle is held to its exact bits too.
 """
 
 import hashlib
 
 import pytest
+import whittle_oracles
+from whittle_oracles import relaxed_upper_bound_reference
 
+from edgebandit import harness, whittle
 from edgebandit.cli import main
 from edgebandit.config import ExperimentCell, apply_overrides, preset_cells
 from edgebandit.harness import compute_relaxed_bound, emit_csv, run_experiment
@@ -32,17 +36,17 @@ DIGESTS = {
     ("fig8", "small"): "f78871a366e9ddfc43649884ff313448b465064d9123b01e415faa41ed99bd3e",
     ("fig6", "full"): "528d7151b0e6c8abdae6e487822daac1fea3bcc7771c28ec9f1f50a073380e9c",
     ("fig8", "full"): "7970bc06d99914b178128273f96dd33ffde8d94001c704bbfd724428ce7b0f49",
-    ("fig3a", "bound"): "c119d02e36719be701358379b756acbc74d5c5731ee9ae27134982c5804658c9",
-    ("fig6", "bound"): "8242f463435b4f3b461b9528a2f678d3860c3a721342082d110dfc8b26ef20b6",
+    ("fig3a", "bound"): "f6bca75e055f479930ff03b64c4bab8235f82c0c7e775a551a9546579d26ecf0",
+    ("fig6", "bound"): "f7edb2a14df10c193a79e683aecf7227fe97881b7955bd432a0342e9d4998f64",
 }
 
 # compute_relaxed_bound at the paper size: (preset, seed, horizon) -> repr;
 # horizon -1 is the run's own horizon
 BOUNDS = {
-    ("fig6", 0, -1): "-1523.9474763851867",
-    ("fig6", 1, -1): "-1726.212932882625",
-    ("fig6", 0, None): "-1810.8826557118155",
-    ("fig3a", 0, -1): "-772.7812440281778",  # the N=60 cell
+    ("fig6", 0, -1): "-1523.947476385194",
+    ("fig6", 1, -1): "-1726.2129328826213",
+    ("fig6", 0, None): "-1810.8826557446846",
+    ("fig3a", 0, -1): "-772.7812440281746",  # the N=60 cell
 }
 
 # verify-index --penalty experiment --alpha 5 --capacity 2 --e-saving -1
@@ -71,3 +75,26 @@ def test_verify_index_digest(tmp_path):
 def test_bound_at_paper_size(preset, seed, horizon):
     config = preset_cells(preset)[0].config
     assert compute_relaxed_bound(config, seed, horizon=horizon) == float(BOUNDS[preset, seed, horizon])
+
+
+@pytest.mark.parametrize("preset,seed,horizon", list(BOUNDS), ids=[f"{p}-{s}-{h}" for p, s, h in BOUNDS])
+def test_bound_evaluations_below_bisection(preset, seed, horizon, monkeypatch):
+    # dual evaluations counted, not timed: the cutting-plane search needs
+    # fewer than the sign bisection on the same arms
+    config = preset_cells(preset)[0].config
+    calls = []
+    group_terms = whittle._group_terms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return group_terms(*args, **kwargs)
+
+    monkeypatch.setattr(whittle, "_group_terms", counted)
+    monkeypatch.setattr(whittle_oracles, "_group_terms", counted)
+    counts = []
+    for search in (whittle.relaxed_upper_bound, relaxed_upper_bound_reference):
+        monkeypatch.setattr(harness, "relaxed_upper_bound", search)
+        calls.clear()
+        compute_relaxed_bound(config, seed, horizon=horizon)
+        counts.append(len(calls))
+    assert 0 < counts[0] < counts[1], counts

@@ -17,10 +17,12 @@ from whittle_oracles import (
     arm_chain_value_reference,
     arm_groups_reference,
     chain_terms_reference,
+    relaxed_upper_bound_reference,
     solve_arm_reference,
     subsidy_threshold,
 )
 
+from edgebandit import whittle
 from edgebandit.dynamics import PenaltyFn
 from edgebandit.whittle import (
     ArmChain,
@@ -391,6 +393,14 @@ class TestRelaxedBound:
         with pytest.raises(ValueError):
             relaxed_upper_bound([small_chain()], 1, 1.0)
 
+    @pytest.mark.parametrize("num_servers,horizon", [(-1, 12), (-1, None), (1, 0), (1, -3)])
+    def test_bad_servers_or_horizon_rejected(self, num_servers, horizon, monkeypatch):
+        calls = []
+        monkeypatch.setattr(whittle, "_group_terms", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            relaxed_upper_bound([small_chain(), small_chain(k=3)], num_servers, 0.95, horizon=horizon)
+        assert calls == []  # rejected before any dual evaluation
+
 
 # savings and subsidies on a coarse grid as well as anywhere, so that the
 # passive and active values tie often
@@ -475,3 +485,44 @@ class TestKernelMatchesReference:
         ref_passive, ref_values = solve_arm_reference(m, subsidies)
         assert np.array_equal(passive, ref_passive)
         assert np.array_equal(values, ref_values)
+
+
+class TestSearchMatchesBisection:
+    """The cutting-plane search against the sign bisection it replaced, on
+    the same dual evaluations."""
+
+    @staticmethod
+    def assert_close(bound, reference):
+        # never looser than the bisection beyond the search's own
+        # certificate, and within the bisection's tolerance of it
+        assert bound <= reference + 1e-12 * (1.0 + abs(reference))
+        assert abs(bound - reference) <= 1e-6 * (1.0 + abs(reference))
+
+    @given(
+        random_arm_sets(),
+        st.data(),
+        st.floats(0.5, 0.98),
+        st.sampled_from([None, 1, 3, 25]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, arms, data, beta, horizon):
+        num_servers = data.draw(st.integers(0, len(arms) - 1))
+        self.assert_close(
+            relaxed_upper_bound(arms, num_servers, beta, horizon=horizon),
+            relaxed_upper_bound_reference(arms, num_servers, beta, horizon=horizon),
+        )
+
+    def test_minimum_at_rounded_bracket_end(self):
+        # with no server the passive end's subgradient n*S - n*S rounds to
+        # -2.2e-16 here: the minimum is at that end, not between the ends
+        arm = ArmChain(
+            capacity=1,
+            penalty=PenaltyFn.theory(0.0),
+            arrival_prob=1.0,
+            duration_probs=np.array([2 / 3, 1 / 3]),
+            size_probs=np.ones((2, 1)),
+            esav_values=np.array([0.0]),
+        )
+        bound = relaxed_upper_bound([arm], 0, 0.5)
+        self.assert_close(bound, relaxed_upper_bound_reference([arm], 0, 0.5))
+        assert bound == pytest.approx(0.0, abs=1e-12)

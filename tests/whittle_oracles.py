@@ -10,6 +10,10 @@ induction with fancy-index successor gathers and ``np.where`` selects,
 and a ``chain_terms_reference`` that regroups and restacks the arms at
 every subsidy.  It performs the same float operations as the kernel in
 ``edgebandit.whittle``, so the two must agree exactly, not approximately.
+
+Last, ``relaxed_upper_bound_reference`` is the bound's earlier dual
+search: a bisection on the sign of the subgradient down to a relative
+bracket width, on the same dual evaluations as ``relaxed_upper_bound``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,15 @@ import numpy as np
 from dynamics_oracles import TaskState
 
 from edgebandit.dynamics import PenaltyFn
-from edgebandit.whittle import THRESHOLD_TOL, ArmChain, SubsidizedArmMDP, _bracket, _solve_arm
+from edgebandit.whittle import (
+    THRESHOLD_TOL,
+    ArmChain,
+    SubsidizedArmMDP,
+    _arm_groups,
+    _bracket,
+    _group_terms,
+    _solve_arm,
+)
 
 VALUE_ITER_TOL = 1e-10
 
@@ -278,3 +290,58 @@ def chain_terms_reference(
         else:
             total += finite_chain_values_reference(gbar, hbar, idle, dur, q, beta, horizon)
     return total
+
+
+def relaxed_upper_bound_reference(
+    arms: Sequence[ArmChain],
+    num_servers: int,
+    discount: float,
+    horizon: Optional[int] = None,
+    refine_tol: float = 1e-6,
+) -> float:
+    """``relaxed_upper_bound`` by bisection on the sign of the subgradient,
+    for ``0 <= num_servers < len(arms)``.
+
+    Starts from the bracket where every arm is always active or always
+    passive, stops once the bracket is within ``refine_tol`` relative or
+    the subgradient is 0, then evaluates once more where the tangents at
+    the bracket's ends meet.  Returns the least dual value evaluated.
+    """
+    n = len(arms)
+    if horizon is None:
+        slope = (n - num_servers) / (1.0 - discount)
+    else:
+        slope = (n - num_servers) * (1.0 - discount**horizon) / (1.0 - discount)
+
+    width = max(
+        _bracket(a.penalty, a.size_probs.shape[1], float(np.max(np.abs(a.esav_values))))
+        for a in arms
+    )
+    laws = _arm_groups(arms, discount)
+
+    def dual(delta: float) -> tuple[float, float]:
+        value, passive_time = _group_terms(laws, delta, discount, horizon)
+        return float(value) - slope * delta, float(passive_time) - slope
+
+    left, right = -width, width
+    lo = hi = None  # (delta, g, g') at the bracket ends once evaluated
+    best = float("inf")
+    while True:
+        delta = 0.5 * (left + right)
+        g, grad = dual(delta)
+        best = min(best, g)
+        if grad == 0.0:
+            return best
+        if grad > 0.0:
+            right, hi = delta, (delta, g, grad)
+        else:
+            left, lo = delta, (delta, g, grad)
+        if right - left <= refine_tol * (1.0 + abs(delta)):
+            break
+    if lo is not None and hi is not None:
+        # g is piecewise linear: with one kink left in the bracket, the
+        # tangents at its ends meet exactly there
+        (d0, g0, s0), (d1, g1, s1) = lo, hi
+        kink = (g1 - g0 + s0 * d0 - s1 * d1) / (s0 - s1)
+        best = min(best, dual(min(max(kink, d0), d1))[0])
+    return best
