@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    PRESETS,
     ConfigError,
     ExperimentCell,
     SimConfig,
@@ -38,7 +39,7 @@ from .whittle import (
 def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("simulate", help="run episodes and write a CSV of run records")
     p.add_argument("--config", type=Path, help="flat key=value config file")
-    p.add_argument("--preset", choices=["fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "fig8"])
+    p.add_argument("--preset", choices=list(PRESETS))
     p.add_argument("--seeds", type=int, default=None, help="number of replications")
     p.add_argument("--out", type=Path, default=Path("results.csv"))
     p.add_argument("--policy", help="restrict to one policy label (e.g. wi, stlw-wi, bl-wi)")

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .dynamics import PenaltyFn
+from .policies import PolicyKind
 
 __all__ = [
     "SimConfig",
@@ -120,7 +121,7 @@ class SimConfig:
             errs.append(f"unknown penalty preset {self.penalty!r}")
         if self.penalty_alpha < 0:
             errs.append("penalty_alpha must be >= 0")
-        if self.policy not in ("wi", "stlw-wi", "edf", "lst", "greedy"):
+        if self.policy not in {p.value for p in PolicyKind}:
             errs.append(f"unknown policy {self.policy!r}")
         if self.estimator not in ("known", "mle", "bl", "psbl"):
             errs.append(f"unknown estimator {self.estimator!r}")

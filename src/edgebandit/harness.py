@@ -144,7 +144,6 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
             bandwidth=cfg.bandwidth,
             distance=distance,
             power_coeff=cfg.power_coeff,
-            arrival_prob=cfg.arrival_prob,
         )
         profiles.append(profile)
         try:
@@ -574,14 +573,13 @@ def _size_matrix(cfg: SimConfig, capacity: int) -> np.ndarray:
     return out
 
 
-def build_arm_chains(cfg: SimConfig, seed: int, scn: Optional[Scenario] = None) -> list[ArmChain]:
+def build_arm_chains(cfg: SimConfig, seed: int) -> list[ArmChain]:
     """Per-user decoupled chains matching the scenario of (cfg, seed).
 
     The arrival law and each capacity's size table are one read-only array
     shared by the arms that have them.
     """
-    if scn is None:
-        scn = build_scenario(cfg, seed)
+    scn = build_scenario(cfg, seed)
     penalty = cfg.penalty_fn()
     dur = np.full(cfg.max_task_duration, 1.0 / cfg.max_task_duration)
     sizes = {k: _size_matrix(cfg, k) for k in np.unique(scn.capacities).tolist()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 __all__ = [
     "UserProfile",
@@ -42,8 +42,9 @@ class UserProfile:
     """Static per-user physical parameters.
 
     Frequencies in Hz, power in watts, distance in meters.  ``power_coeff``
-    is the chip-architecture energy coefficient of the local CPU and
-    ``arrival_prob`` the per-slot probability of a new task while idle.
+    is the chip-architecture energy coefficient of the local CPU.  The task
+    arrival probability is not per user: it is ``SimConfig.arrival_prob``,
+    checked once there.
     """
 
     user_id: int
@@ -54,7 +55,6 @@ class UserProfile:
     bandwidth: float
     distance: float
     power_coeff: float
-    arrival_prob: float
 
     def validate(self, ref_distance: float = 0.0) -> None:
         """Raise ValueError on physically invalid parameters.
@@ -70,8 +70,6 @@ class UserProfile:
             raise ValueError(f"user {self.user_id}: subtask_bits must be > 0")
         if self.cycles_per_bit <= 0:
             raise ValueError(f"user {self.user_id}: cycles_per_bit must be > 0")
-        if not 0.0 <= self.arrival_prob <= 1.0:
-            raise ValueError(f"user {self.user_id}: arrival_prob outside [0, 1]")
         if self.tx_power < 0:
             raise ValueError(f"user {self.user_id}: tx_power must be >= 0")
         if self.distance < ref_distance:
@@ -85,9 +83,9 @@ class UserProfile:
 class ChannelEnvironment:
     """Shared channel and server parameters.
 
-    ``fading_gain`` is the small-scale fading power gain of the current
-    channel block.  The harness draws a unit-mean exponential gain per task
-    and passes it to :func:`channel_gain` instead.
+    The small-scale fading is not part of the environment: the harness
+    draws a unit-mean exponential power gain per channel block and passes
+    it to :func:`channel_gain`.
     """
 
     pathloss_const: float
@@ -95,13 +93,10 @@ class ChannelEnvironment:
     pathloss_exp: float
     noise_density: float
     server_freq: float
-    fading_gain: float = 1.0
 
     def validate(self) -> None:
         if self.noise_density <= 0:
             raise ValueError("noise_density must be > 0")
-        if self.fading_gain < 0:
-            raise ValueError("fading_gain must be >= 0")
         if self.ref_distance <= 0:
             raise ValueError("ref_distance must be > 0")
         if self.server_freq <= 0:
@@ -151,14 +146,12 @@ def offload_capacity(profile: UserProfile, env: ChannelEnvironment) -> int:
     return k
 
 
-def channel_gain(env: ChannelEnvironment, distance: float, fading: Optional[float] = None) -> float:
+def channel_gain(env: ChannelEnvironment, distance: float, fading: float = 1.0) -> float:
     """Block-fading channel power gain at the given distance.
 
-    ``fading`` is the block's fading power gain; None uses the
-    environment's ``fading_gain``.
+    ``fading`` is the block's fading power gain; the default 1.0 is the
+    nominal (unit-fading) gain.
     """
-    if fading is None:
-        fading = env.fading_gain
     return fading * env.pathloss_const * (env.ref_distance / distance) ** env.pathloss_exp
 
 

@@ -34,9 +34,12 @@ a one-dimensional cutting-plane search (Kelley 1960).  The tangents at the
 two ends of the bracket give the next subsidy to evaluate, with a
 bisection step when two such steps fail to halve the bracket.  Their
 crossing is also a lower bound on the minimum, so the search stops once
-the least dual value evaluated is within ``refine_tol`` relative of it;
+the least dual value evaluated is within ``REFINE_TOL`` relative of it;
 an end of the bracket whose subgradient already points outward (zero or
-its rounding included) is the minimum itself.  The sign bisection this
+its rounding included) is the minimum itself.  With as many servers as
+arms (M = N) the subsidy term vanishes, and at the left end every arm is
+always active, so the subgradient there is exactly 0: the search returns
+the always-active value with no special case.  The sign bisection this
 search replaced is kept in ``tests/whittle_oracles.py`` as the reference.
 """
 
@@ -64,6 +67,9 @@ __all__ = [
 # Bisection tolerance for the subsidy threshold; two orders tighter than the
 # 1e-6 index-vs-oracle equivalence assertions.
 THRESHOLD_TOL = 1e-9
+
+# Relative gap at which the bound's cutting-plane search stops.
+REFINE_TOL = 1e-12
 
 
 # Least table extents: the default task limits (10 slots, 30 subtasks), so
@@ -285,7 +291,6 @@ def _induction(
     levels: int,
     beta: float,
     deadline: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    force_active: bool = False,
     derivative: bool = True,
 ):
     """Backward induction of the subsidized arm within one task.
@@ -298,12 +303,12 @@ def _induction(
     :func:`_work_terms`.  The continuation after the last slot is zero.
     With ``deadline`` the first level charges the non-completion penalty;
     without it the task is cut off before its deadline.  Ties resolve to
-    the passive action, matching the infimum in the index definition;
-    ``force_active`` acts everywhere.  The derivative in the subsidy is the
-    discounted number of passive slots under the actions picked: each
-    value is a max of functions affine in the subsidy, so it is a
-    subgradient at a kink.  Without ``derivative`` it is not carried, and
-    None is yielded for it.  Every array yielded is new.
+    the passive action, matching the infimum in the index definition.  The
+    derivative in the subsidy is the discounted number of passive slots
+    under the actions picked: each value is a max of functions affine in
+    the subsidy, so it is a subgradient at a kink.  Without ``derivative``
+    it is not carried, and None is yielded for it.  Every array yielded is
+    new.
     """
     shape = np.broadcast_shapes(e_work.shape, np.shape(delta))
     rows = shape[0]
@@ -331,12 +336,8 @@ def _induction(
                 dq1 = np.empty(shape)
                 dq1[: k + 1] = bdv[:1]
                 dq1[k + 1 :] = bdv[1 : rows - k]
-        if force_active:
-            passive = np.zeros(shape, dtype=bool)
-            v = np.array(np.broadcast_to(q1, shape))
-        else:
-            passive = q0 >= q1
-            v = np.maximum(q0, q1)
+        passive = q0 >= q1
+        v = np.maximum(q0, q1)
         if derivative:
             if first:  # one passive slot or none, then the deadline
                 dv = passive.astype(np.float64)
@@ -568,7 +569,6 @@ def _level_means(
     beta: float,
     n_levels: int,
     with_deadline: bool,
-    force_active: bool = False,
 ) -> np.ndarray:
     """Arm-summed expected within-task values at arrival and their
     derivatives in the subsidy, one column per task length.
@@ -580,7 +580,7 @@ def _level_means(
     """
     levels = _induction(
         delta, group.e_work, group.capacity, n_levels, beta,
-        group.deadline if with_deadline else None, force_active,
+        group.deadline if with_deadline else None,
     )
     out = np.zeros((2, n_levels))
     for level, (_, v, dv) in enumerate(levels):
@@ -630,7 +630,6 @@ def _group_terms(
     delta: float,
     beta: float,
     horizon: Optional[int],
-    force_active: bool = False,
 ) -> np.ndarray:
     """Sum over the grouped arms of the value at subsidy ``delta`` and its
     derivative, as ``array([value, derivative])``.
@@ -642,18 +641,15 @@ def _group_terms(
     stop one level short of the deadline tables: the recursion never reads
     their last level.
     """
-    if force_active:
-        idle_gain = np.zeros(2)
-    else:
-        idle_gain = np.array([max(delta, 0.0), 1.0 if delta > 0.0 else 0.0])
+    idle_gain = np.array([max(delta, 0.0), 1.0 if delta > 0.0 else 0.0])
     total = np.zeros(2)
     for law in laws:
         n_levels = len(law.dur_probs)
         gbar = hbar = 0.0
         for group in law.groups:
-            gbar = gbar + _level_means(group, delta, beta, n_levels, True, force_active)
+            gbar = gbar + _level_means(group, delta, beta, n_levels, True)
             if horizon is not None:
-                hbar = hbar + _level_means(group, delta, beta, n_levels - 1, False, force_active)
+                hbar = hbar + _level_means(group, delta, beta, n_levels - 1, False)
         idle = law.n_arms * idle_gain
         if horizon is None:
             q = law.arrival_prob
@@ -664,23 +660,11 @@ def _group_terms(
     return total
 
 
-def _chain_terms(
-    arms: Sequence[ArmChain],
-    delta: float,
-    beta: float,
-    horizon: Optional[int],
-    force_active: bool = False,
-) -> np.ndarray:
-    """:func:`_group_terms` of ``arms`` grouped for this one subsidy."""
-    return _group_terms(_arm_groups(arms, beta), delta, beta, horizon, force_active)
-
-
 def relaxed_upper_bound(
     arms: Sequence[ArmChain],
     num_servers: int,
     discount: float,
     horizon: Optional[int] = None,
-    refine_tol: float = 1e-12,
 ) -> float:
     """Upper bound on any feasible policy's expected discounted reward.
 
@@ -701,10 +685,12 @@ def relaxed_upper_bound(
     whose subgradient has its sign.  When two tangent steps in a row fail
     to halve the bracket, a bisection step follows.  No g in the
     bracket lies below the crossing's height on the tangents, so the search
-    stops once the least g evaluated is within ``refine_tol * (1 + |g|)``
+    stops once the least g evaluated is within ``REFINE_TOL * (1 + |g|)``
     of it: the result is then within that gap of the best bound this
     relaxation gives.  It also stops at a zero subgradient (a minimizer)
-    and when the bracket can no longer shrink in floating point.
+    and when the bracket can no longer shrink in floating point.  At M = N
+    the left end is one: the slope is 0 and every arm is always active
+    there, so g there is the always-active value.
 
     The least g evaluated is returned; by weak duality every g(delta) is an
     upper bound, whatever the search accuracy.  With ``horizon`` set, the
@@ -722,10 +708,6 @@ def relaxed_upper_bound(
         raise ValueError("horizon must be None or at least 1")
     if not 0.0 < discount < 1.0:
         raise ValueError("bound requires discount in (0, 1)")
-    if num_servers == n:
-        # subsidy term vanishes; the infimum is the always-active value
-        return float(_chain_terms(arms, 0.0, discount, horizon, force_active=True)[0])
-
     if horizon is None:
         slope = (n - num_servers) / (1.0 - discount)
     else:
@@ -750,7 +732,7 @@ def relaxed_upper_bound(
         (d0, g0, s0), (d1, g1, s1) = lo, hi
         kink = (g1 - g0 + s0 * d0 - s1 * d1) / (s0 - s1)
         # the tangents' crossing is a lower bound on g over the bracket
-        if best - (g0 + s0 * (kink - d0)) <= refine_tol * (1.0 + abs(best)):
+        if best - (g0 + s0 * (kink - d0)) <= REFINE_TOL * (1.0 + abs(best)):
             break
         tangent = steps < 2 and d0 < kink < d1
         delta = kink if tangent else 0.5 * (d0 + d1)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from edgebandit.cli import main
+from edgebandit.config import PRESETS
 from edgebandit.harness import read_csv
 
 
@@ -83,3 +84,13 @@ def test_check_indexability(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "5/5 configurations indexable" in out
+
+
+def test_preset_choices_are_the_presets(tmp_path):
+    # zero seeds parse and build each preset's cells without running any
+    out = tmp_path / "records.csv"
+    for name in PRESETS:
+        assert main(["simulate", "--preset", name, "--seeds", "0", "--out", str(out)]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--preset", "fig9", "--seeds", "0", "--out", str(out)])
+    assert exit_info.value.code == 2

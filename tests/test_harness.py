@@ -88,6 +88,12 @@ class TestScenario:
         msg = str(err.value)
         assert "num_servers" in msg and "discount" in msg and "policy" in msg
 
+    def test_arrival_prob_error_reported_once(self):
+        # the arrival probability is one config field, not a per-user one
+        with pytest.raises(ConfigError) as err:
+            build_scenario(cfg(num_users=5, arrival_prob=1.5), 0)
+        assert str(err.value).count("arrival_prob") == 1
+
     def test_discount_one_rejected(self):
         # the index's saving shift and the bound both need discount < 1
         assert "discount must lie in (0, 1)" in cfg(discount=1.0).validation_errors()

@@ -35,7 +35,6 @@ def profile(**kw) -> UserProfile:
         bandwidth=1e6,
         distance=100.0,
         power_coeff=1e-28,
-        arrival_prob=0.7,
     )
     base.update(kw)
     return UserProfile(**base)
@@ -48,7 +47,6 @@ def env(**kw) -> ChannelEnvironment:
         pathloss_exp=4.0,
         noise_density=3.981e-21,
         server_freq=2e9,
-        fading_gain=1.0,
     )
     base.update(kw)
     return ChannelEnvironment(**base)
@@ -122,11 +120,7 @@ class TestChannelGain:
         assert channel_gain(env(), 100.0) == pytest.approx(1e-12, rel=1e-12)
 
     def test_fading_scales(self):
-        assert channel_gain(env(fading_gain=2.0), 10.0) == pytest.approx(2e-8, rel=1e-12)
-
-    def test_fading_argument_matches_environment_gain(self):
-        for kappa in (0.0, 0.37, 1.0, 2.9):
-            assert channel_gain(env(), 37.0, kappa) == channel_gain(env(fading_gain=kappa), 37.0)
+        assert channel_gain(env(), 10.0, 2.0) == pytest.approx(2e-8, rel=1e-12)
 
     @given(st.floats(1.0, 1e4), st.floats(1.0, 1e4))
     @settings(max_examples=50)
@@ -216,7 +210,5 @@ class TestProfileValidation:
     def test_bad_fields_listed(self):
         with pytest.raises(ValueError):
             profile(cpu_freq=0.0).validate()
-        with pytest.raises(ValueError):
-            profile(arrival_prob=1.5).validate()
         with pytest.raises(ValueError):
             profile(distance=0.5).validate(ref_distance=1.0)

@@ -28,7 +28,6 @@ from edgebandit.whittle import (
     ArmChain,
     SubsidizedArmMDP,
     _arm_groups,
-    _chain_terms,
     _group_terms,
     _solve_arm,
     indexability_check,
@@ -38,6 +37,12 @@ from edgebandit.whittle import (
 )
 
 THEORY1 = PenaltyFn.theory(1.0)
+
+
+def _chain_terms(arms, delta, beta, horizon):
+    """The bound kernel's ``[value, derivative]`` with ``arms`` grouped for
+    this one subsidy."""
+    return _group_terms(_arm_groups(arms, beta), delta, beta, horizon)
 
 
 def mdp(**kw) -> SubsidizedArmMDP:
@@ -345,10 +350,10 @@ class TestArmChainValue:
 
 class TestRelaxedBound:
     def test_all_servers_forces_active_value(self):
+        # M = N: the search stops at the left end, whose subgradient is 0
         chains = [small_chain(), small_chain(k=3)]
         bound = relaxed_upper_bound(chains, num_servers=2, discount=0.95)
-        forced = sum(_chain_terms([c], 0.0, 0.95, None, force_active=True)[0] for c in chains)
-        assert bound == pytest.approx(forced, rel=1e-12)
+        assert bound == chain_terms_reference(chains, 0.0, 0.95, None, True)[0]
 
     def test_single_idle_arm_no_server(self):
         # V = max(delta, 0)/(1-beta); inf over delta of V - delta/(1-beta) is 0
@@ -386,7 +391,7 @@ class TestRelaxedBound:
     def test_dominates_passive_and_active_static_policies(self):
         chains = [small_chain(), small_chain(k=3), small_chain(q=0.3)]
         bound = relaxed_upper_bound(chains, 1, 0.95)
-        always_active = sum(_chain_terms([c], 0.0, 0.95, None, force_active=True)[0] for c in chains)
+        always_active = chain_terms_reference(chains, 0.0, 0.95, None, True)[0]
         assert bound >= always_active - 1e-9
 
     def test_bad_discount_rejected(self):
@@ -458,16 +463,23 @@ class TestKernelMatchesReference:
         st.lists(st.one_of(st.floats(-4.0, 4.0), EXACT_TIES), min_size=1, max_size=3),
         st.floats(0.5, 0.98),
         st.sampled_from([None, 1, 3, 25]),
-        st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_chain_terms_equal_reference(self, arms, deltas, beta, horizon, force_active):
+    def test_chain_terms_equal_reference(self, arms, deltas, beta, horizon):
         laws = _arm_groups(arms, beta)
         assert sum(len(law.groups) for law in laws) == len(arm_groups_reference(arms))
         for delta in deltas:  # the prebuilt groups serve every subsidy unchanged
-            expected = chain_terms_reference(arms, delta, beta, horizon, force_active)
-            assert list(_chain_terms(arms, delta, beta, horizon, force_active)) == list(expected)
-            assert list(_group_terms(laws, delta, beta, horizon, force_active)) == list(expected)
+            expected = chain_terms_reference(arms, delta, beta, horizon)
+            assert list(_chain_terms(arms, delta, beta, horizon)) == list(expected)
+            assert list(_group_terms(laws, delta, beta, horizon)) == list(expected)
+
+    @given(random_arm_sets(), st.floats(0.5, 0.98), st.sampled_from([None, 1, 3, 25]))
+    @settings(max_examples=150, deadline=None)
+    def test_all_servers_bound_equals_always_active(self, arms, beta, horizon):
+        # the search has no M = N case: the left end's subgradient is 0
+        # there, and its dual value is the always-active value, bit for bit
+        expected = chain_terms_reference(arms, 0.0, beta, horizon, True)[0]
+        assert relaxed_upper_bound(arms, len(arms), beta, horizon) == expected
 
     @given(
         st.integers(0, 6),

@@ -262,7 +262,9 @@ def chain_terms_reference(
     force_active: bool = False,
 ) -> np.ndarray:
     """``array([value, derivative])`` summed over arms at subsidy ``delta``,
-    grouping and stacking the arms anew at every call."""
+    grouping and stacking the arms anew at every call.  ``force_active``
+    acts everywhere and earns no idle gain: the always-active value, which
+    the bound must return at M = N."""
     if force_active:
         idle_gain = np.zeros(2)
     else:
