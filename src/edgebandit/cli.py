@@ -56,8 +56,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         if args.policy:
             base = apply_overrides(base, {"policy": args.policy})
-        base.validate()
         cells = [ExperimentCell(name="custom", config=base)]
+    for cell in cells:  # a bad setting is a configuration error, not a failed cell
+        cell.config.validate()
     n_seeds = args.seeds if args.seeds is not None else cells[0].config.replications
     seeds = list(range(n_seeds))
 

@@ -145,8 +145,16 @@ class SimConfig:
             errs.append("slot_length must be > 0")
         if self.fading_period_slots < 0:
             errs.append("fading_period_slots must be >= 0")
+        if self.energy_truth in ("gaussian", "laplace") and self.truth_spread < 0:
+            errs.append("truth_spread must be >= 0 under gaussian or laplace truth")
         if self.mh_samples < 1:
             errs.append("mh_samples must be >= 1")
+        if self.mh_burn_in < 0:
+            errs.append("mh_burn_in must be >= 0")
+        if self.mh_proposal_factor <= 0:
+            errs.append("mh_proposal_factor must be > 0")
+        if self.bound_esav_samples < 1:
+            errs.append("bound_esav_samples must be >= 1")
         if self.noise_var_low <= 0 or self.noise_var_high < self.noise_var_low:
             errs.append("noise variance range must be positive and ordered")
         return errs

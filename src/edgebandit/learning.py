@@ -289,6 +289,8 @@ class PriorSwapWhittleEstimator(_UserStats):
     ):
         if chain_len < 1:
             raise ValueError("chain_len must be >= 1")
+        if burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if init_theta[1] <= 0:
             raise ValueError("initial variance must be > 0")
         _check_variant(variant)

@@ -19,15 +19,22 @@ do not depend on the subsidy (the saving on rows with work and the
 deadline level) are built once: per call for the oracle, and per bound
 for the relaxed bound, which groups and stacks its arms once
 (:func:`_arm_groups`) and evaluates every subsidy of its dual search on
-those groups.  The bound's horizon-truncated tables stop one level short
-of the deadline tables, because the finite-horizon recursion never reads
-their last level.
+those groups.  Each arrival law also carries its horizon map: the
+finite-horizon value is linear in the idle gain and the task values at
+arrival, so the T-slot recursion (:func:`_finite_chain_values`) runs once
+per law and bound, on unit inputs, and each dual evaluation applies the
+resulting 2L coefficients.  The groups run their inductions in turn in
+one workspace, allocated once per bound for the largest group.  The
+bound's horizon-truncated tables stop one level short of the deadline
+tables, because the finite-horizon recursion never reads their last
+level.
 
 The bound's values are checked against an independent value iteration
 over the joint recurrent chain, kept with the scalar threshold search in
 ``tests/whittle_oracles.py``; the per-call kernel it replaced (fancy-index
-gathers, ``np.where`` selects, arms regrouped at every subsidy) is kept
-there too, and the two must agree bit for bit.
+gathers, ``np.where`` selects, arms regrouped at every subsidy, a horizon
+map built from its own recursion) is kept there too, and the two must
+agree bit for bit.
 
 The bound minimizes its convex, piecewise-linear dual over the subsidy by
 a one-dimensional cutting-plane search (Kelley 1960).  The tangents at the
@@ -284,6 +291,17 @@ def _work_terms(e, capacity: int, fpen: np.ndarray) -> tuple[np.ndarray, tuple[n
     return e_work, (pen_passive, q_active)
 
 
+# float arrays of an _induction workspace: the value and derivative rows,
+# their discounted copies, q0, q1 and dq0
+_WORK_ROWS = 7
+
+
+def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for :func:`_induction` over up to ``size`` elements: its float
+    arrays, one per row, and the passive mask."""
+    return np.empty((_WORK_ROWS, size)), np.empty(size, dtype=bool)
+
+
 def _induction(
     delta,
     e_work: np.ndarray,
@@ -292,6 +310,7 @@ def _induction(
     beta: float,
     deadline: Optional[tuple[np.ndarray, np.ndarray]] = None,
     derivative: bool = True,
+    work: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ):
     """Backward induction of the subsidized arm within one task.
 
@@ -307,44 +326,46 @@ def _induction(
     derivative in the subsidy is the discounted number of passive slots
     under the actions picked: each value is a max of functions affine in
     the subsidy, so it is a subgradient at a kink.  Without ``derivative``
-    it is not carried, and None is yielded for it.  Every array yielded is
-    new.
+    it is not carried, and None is yielded for it.
+
+    Every level is computed in ``work``, a :func:`_workspace` at least as
+    large as one level (one is allocated when it is None): the arrays
+    yielded are views into it, which the next level overwrites.
     """
     shape = np.broadcast_shapes(e_work.shape, np.shape(delta))
-    rows = shape[0]
+    rows, size = shape[0], math.prod(shape)
     k = min(capacity, rows - 1)  # rows 0..k have the empty row as active successor
-    v = np.zeros(shape)
-    dv = np.zeros(shape) if derivative else None
+    floats, mask = _workspace(size) if work is None else work
+    v, dv, bv, bdv, q0, q1, dq0 = (row[:size].reshape(shape) for row in floats)
+    passive = mask[:size].reshape(shape)
+    if deadline is None:  # the first level reads the zero continuation
+        v.fill(0.0)
+        dv.fill(0.0)
     for level in range(1, levels + 1):
         first = deadline is not None and level == 1
         if first:
-            pen_passive, q1 = deadline
-            q0 = delta - pen_passive
+            pen_passive, q_active = deadline
+            np.subtract(delta, pen_passive, out=q0)
+            np.copyto(q1, q_active)
         else:
-            bv = beta * v
-            q0 = np.empty(shape)
+            np.multiply(v, beta, out=bv)
             np.add(delta, bv[:1], out=q0[:1])
             np.add(delta, bv[:-1], out=q0[1:])
-            q1 = np.empty(shape)
             np.add(e_work[: k + 1], bv[:1], out=q1[: k + 1])
             np.add(e_work[k + 1 :], bv[1 : rows - k], out=q1[k + 1 :])
-            if derivative:
-                bdv = beta * dv
-                dq0 = np.empty(shape)
-                np.add(1.0, bdv[:1], out=dq0[:1])
-                np.add(1.0, bdv[:-1], out=dq0[1:])
-                dq1 = np.empty(shape)
-                dq1[: k + 1] = bdv[:1]
-                dq1[k + 1 :] = bdv[1 : rows - k]
-        passive = q0 >= q1
-        v = np.maximum(q0, q1)
+        np.greater_equal(q0, q1, out=passive)
+        np.maximum(q0, q1, out=v)
         if derivative:
             if first:  # one passive slot or none, then the deadline
-                dv = passive.astype(np.float64)
+                np.copyto(dv, passive)
             else:
-                np.copyto(dq1, dq0, where=passive)
-                dv = dq1
-        yield passive, v, dv
+                np.multiply(dv, beta, out=bdv)
+                np.add(1.0, bdv[:1], out=dq0[:1])
+                np.add(1.0, bdv[:-1], out=dq0[1:])
+                dv[: k + 1] = bdv[:1]
+                dv[k + 1 :] = bdv[1 : rows - k]
+                np.copyto(dv, dq0, where=passive)
+        yield passive, v, dv if derivative else None
 
 
 def _solve_arm(mdp: SubsidizedArmMDP, subsidies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -510,24 +531,24 @@ class _ArmGroup:
 @dataclass(frozen=True)
 class _ArrivalLaw:
     """The groups of arms sharing one arrival law, with the law's
-    subsidy-free coefficients: the renewal denominator and the
-    finite-horizon recursion's tail probabilities and weights."""
+    subsidy-free coefficients: the renewal denominator and the horizon
+    map."""
 
     arrival_prob: float
     dur_probs: np.ndarray
     n_arms: int
     groups: tuple[_ArmGroup, ...]
     renewal_denom: float
-    tail_prob: np.ndarray  # P(duration >= d), d = 1..L+1
-    weights: np.ndarray  # admission-discounted duration weights
+    horizon_map: Optional[np.ndarray]  # (2L,) from _horizon_map; None for the renewal value
 
 
-def _arm_groups(arms: Sequence[ArmChain], beta: float) -> list[_ArrivalLaw]:
+def _arm_groups(arms: Sequence[ArmChain], beta: float, horizon: Optional[int] = None) -> list[_ArrivalLaw]:
     """Group and stack the arms once, for every subsidy of a bound.
 
     Arms that differ only in their saving samples share one group, and
     groups sharing the arrival law share one law; both keep the order in
-    which their first arm appears.
+    which their first arm appears.  With a ``horizon`` each law carries
+    its horizon map for that many slots; without one, the renewal value.
     """
     by_law: dict = {}  # arrival law -> group key -> arms
     for a in arms:
@@ -548,7 +569,6 @@ def _arm_groups(arms: Sequence[ArmChain], beta: float) -> list[_ArrivalLaw]:
             )
             groups.append(_ArmGroup(first.capacity, first.size_probs, esav.shape[1], e_work, deadline))
         phi = float(dur @ beta ** np.arange(1, len(dur) + 1))
-        beta_pow = beta ** np.arange(len(dur) + 1)
         laws.append(
             _ArrivalLaw(
                 arrival_prob=q,
@@ -556,8 +576,7 @@ def _arm_groups(arms: Sequence[ArmChain], beta: float) -> list[_ArrivalLaw]:
                 n_arms=sum(len(group) for group in members.values()),
                 groups=tuple(groups),
                 renewal_denom=1.0 - (1.0 - q) * beta - q * phi,
-                tail_prob=np.concatenate([np.cumsum(dur[::-1])[::-1], [0.0]]),
-                weights=dur * beta_pow[1:],
+                horizon_map=None if horizon is None else _horizon_map(dur, q, beta, horizon),
             )
         )
     return laws
@@ -569,18 +588,20 @@ def _level_means(
     beta: float,
     n_levels: int,
     with_deadline: bool,
+    work: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Arm-summed expected within-task values at arrival and their
     derivatives in the subsidy, one column per task length.
 
-    One :func:`_induction` at one subsidy over a group of arms.  Returns
+    One :func:`_induction` at one subsidy over a group of arms, in ``work``
+    when given.  Returns
     shape (2, ``n_levels``): out[0, d-1] = sum_a E_{B|d, e}[value of a
     d-level task] and out[1, d-1] its derivative, the expected discounted
     number of passive slots.
     """
     levels = _induction(
         delta, group.e_work, group.capacity, n_levels, beta,
-        group.deadline if with_deadline else None,
+        group.deadline if with_deadline else None, work=work,
     )
     out = np.zeros((2, n_levels))
     for level, (_, v, dv) in enumerate(levels):
@@ -593,7 +614,8 @@ def _finite_chain_values(
     gbar: np.ndarray,  # (R, L) deadline-inside task values at arrival
     hbar: np.ndarray,  # (R, L-1) horizon-truncated task values at arrival
     idle_gain: np.ndarray,  # (R,)
-    law: _ArrivalLaw,
+    dur_probs: np.ndarray,
+    arrival_prob: float,
     beta: float,
     horizon: int,
 ) -> np.ndarray:
@@ -603,13 +625,14 @@ def _finite_chain_values(
     arrival-mixture state; tasks longer than the remaining horizon never
     reach their deadline and use the truncated tables, read only for
     r < L.  The value is linear in (idle gain, gbar, hbar), so each row may
-    hold a sum over arms or a derivative.
+    hold a sum over arms, a derivative or a unit input.
     """
     n_levels = gbar.shape[1]
-    q = law.arrival_prob
-    tail_prob, weights = law.tail_prob, law.weights
-    gsum_full = gbar @ law.dur_probs  # (R,): arrival value with zero continuation
-    gsum_part = np.cumsum(gbar * law.dur_probs, axis=1)  # partial sums
+    q = arrival_prob
+    tail_prob = np.concatenate([np.cumsum(dur_probs[::-1])[::-1], [0.0]])  # P(duration >= d)
+    weights = dur_probs * beta ** np.arange(1, n_levels + 1)  # admission-discounted
+    gsum_full = gbar @ dur_probs  # (R,): arrival value with zero continuation
+    gsum_part = np.cumsum(gbar * dur_probs, axis=1)  # partial sums
 
     c_hist = np.zeros((horizon, gbar.shape[0]))  # c_hist[r] = C(r)
     for r in range(1, horizon):
@@ -625,38 +648,53 @@ def _finite_chain_values(
     return idle_gain + beta * c_hist[horizon - 1]
 
 
+def _horizon_map(dur_probs: np.ndarray, arrival_prob: float, beta: float, horizon: int) -> np.ndarray:
+    """The T-slot value's coefficients on (idle gain, gbar, hbar), shape (2L,).
+
+    :func:`_finite_chain_values` run once on the 2L unit inputs: the idle
+    gain, the L ``gbar`` columns and the L-1 ``hbar`` columns.
+    """
+    n_levels = len(dur_probs)
+    unit = np.eye(2 * n_levels)
+    return _finite_chain_values(
+        unit[:, 1 : n_levels + 1], unit[:, n_levels + 1 :], unit[:, 0], dur_probs, arrival_prob, beta, horizon
+    )
+
+
 def _group_terms(
     laws: Sequence[_ArrivalLaw],
     delta: float,
     beta: float,
-    horizon: Optional[int],
+    work: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Sum over the grouped arms of the value at subsidy ``delta`` and its
     derivative, as ``array([value, derivative])``.
 
-    The renewal (``horizon=None``) and finite-horizon values are linear in
-    (idle gain, task values), with coefficients set by the arrival law, so
-    the groups of a law are summed before the horizon recursion and
-    derivatives go through the same map as values.  The truncated tables
-    stop one level short of the deadline tables: the recursion never reads
-    their last level.
+    The renewal and finite-horizon values are linear in (idle gain, task
+    values), with coefficients set by the arrival law, so the groups of a
+    law are summed first, derivatives go through the same map as values,
+    and the finite-horizon value is the law's horizon map applied to them.
+    The truncated tables stop one level short of the deadline tables: the
+    horizon recursion never reads their last level.  Every group's
+    induction runs in ``work`` when it is given.
     """
     idle_gain = np.array([max(delta, 0.0), 1.0 if delta > 0.0 else 0.0])
     total = np.zeros(2)
     for law in laws:
         n_levels = len(law.dur_probs)
+        c = law.horizon_map
         gbar = hbar = 0.0
         for group in law.groups:
-            gbar = gbar + _level_means(group, delta, beta, n_levels, True)
-            if horizon is not None:
-                hbar = hbar + _level_means(group, delta, beta, n_levels - 1, False)
+            gbar = gbar + _level_means(group, delta, beta, n_levels, True, work)
+            if c is not None:
+                hbar = hbar + _level_means(group, delta, beta, n_levels - 1, False, work)
         idle = law.n_arms * idle_gain
-        if horizon is None:
+        if c is None:
             q = law.arrival_prob
             cont = ((1.0 - q) * idle + q * (gbar @ law.dur_probs)) / law.renewal_denom
             total += idle + beta * cont
         else:
-            total += _finite_chain_values(gbar, hbar, idle, law, beta, horizon)
+            total += c[0] * idle + gbar @ c[1 : n_levels + 1] + hbar @ c[n_levels + 1 :]
     return total
 
 
@@ -717,10 +755,11 @@ def relaxed_upper_bound(
         _bracket(a.penalty, a.size_probs.shape[1], float(np.max(np.abs(a.esav_values))))
         for a in arms
     )
-    laws = _arm_groups(arms, discount)
+    laws = _arm_groups(arms, discount, horizon)
+    work = _workspace(max(group.e_work.size for law in laws for group in law.groups))
 
     def dual(delta: float) -> tuple[float, float, float]:
-        value, passive_time = _group_terms(laws, delta, discount, horizon)
+        value, passive_time = _group_terms(laws, delta, discount, work)
         return delta, float(value) - slope * delta, float(passive_time) - slope
 
     lo, hi = dual(-width), dual(width)  # (delta, g, g') at the bracket's ends

@@ -53,6 +53,23 @@ def test_simulate_invalid_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--seeds", "1"]) == 2
 
 
+def test_simulate_negative_laplace_spread_exits_2(tmp_path, capsys):
+    # rejected as configuration, not as a cell failing mid-episode
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("energy_truth = laplace\nestimator = psbl\ntruth_spread = -1\nnum_users = 8\nnum_servers = 3\n")
+    assert main(["simulate", "--config", str(cfg), "--seeds", "1", "--out", str(tmp_path / "o.csv")]) == 2
+    assert "truth_spread" in capsys.readouterr().err
+
+
+def test_simulate_preset_invalid_setting_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mh_burn_in = -1\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--preset", "fig8", "--config", str(cfg), "--seeds", "1", "--out", str(out)]) == 2
+    assert "mh_burn_in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_index_grid(tmp_path):
     out = tmp_path / "grid.csv"
     code = main(

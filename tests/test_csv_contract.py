@@ -36,15 +36,15 @@ DIGESTS = {
     ("fig8", "small"): "f78871a366e9ddfc43649884ff313448b465064d9123b01e415faa41ed99bd3e",
     ("fig6", "full"): "528d7151b0e6c8abdae6e487822daac1fea3bcc7771c28ec9f1f50a073380e9c",
     ("fig8", "full"): "7970bc06d99914b178128273f96dd33ffde8d94001c704bbfd724428ce7b0f49",
-    ("fig3a", "bound"): "f6bca75e055f479930ff03b64c4bab8235f82c0c7e775a551a9546579d26ecf0",
-    ("fig6", "bound"): "f7edb2a14df10c193a79e683aecf7227fe97881b7955bd432a0342e9d4998f64",
+    ("fig3a", "bound"): "c119d02e36719be701358379b756acbc74d5c5731ee9ae27134982c5804658c9",
+    ("fig6", "bound"): "80069224242b3d1a58e402316ac6634f1405b36c82df2ddb3803c0be19d86b4e",
 }
 
 # compute_relaxed_bound at the paper size: (preset, seed, horizon) -> repr;
 # horizon -1 is the run's own horizon
 BOUNDS = {
-    ("fig6", 0, -1): "-1523.947476385194",
-    ("fig6", 1, -1): "-1726.2129328826213",
+    ("fig6", 0, -1): "-1523.9474763851877",
+    ("fig6", 1, -1): "-1726.2129328826231",
     ("fig6", 0, None): "-1810.8826557446846",
     ("fig3a", 0, -1): "-772.7812440281746",  # the N=60 cell
 }

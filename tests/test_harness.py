@@ -24,6 +24,7 @@ from whittle_oracles import arm_groups_reference
 
 from edgebandit import harness
 from edgebandit.config import (
+    PRESETS,
     ConfigError,
     ExperimentCell,
     SimConfig,
@@ -114,6 +115,41 @@ class TestScenario:
     def test_channel_environment_validated(self, field, overrides):
         with pytest.raises(ConfigError, match=field):
             build_scenario(cfg(**overrides), 0)
+
+    @pytest.mark.parametrize(
+        "field,overrides",
+        [
+            # a negative burn-in shortens the chain below the samples it averages
+            ("mh_burn_in", {"estimator": "psbl", "mh_burn_in": -5}),
+            # a zero proposal scale never moves the chain
+            ("mh_proposal_factor", {"estimator": "psbl", "mh_proposal_factor": 0.0}),
+            ("mh_proposal_factor", {"estimator": "psbl", "mh_proposal_factor": -1.0}),
+            ("bound_esav_samples", {"bound_esav_samples": 0}),
+            ("truth_spread", {"energy_truth": "gaussian", "truth_spread": -1.0}),
+            ("truth_spread", {"energy_truth": "laplace", "truth_spread": -1.0}),
+        ],
+        ids=["mh_burn_in", "mh_proposal_factor-zero", "mh_proposal_factor-negative", "bound_esav_samples",
+             "truth_spread-gaussian", "truth_spread-laplace"],
+    )
+    def test_learner_and_bound_settings_validated(self, field, overrides):
+        c = cfg(**overrides)
+        assert [e for e in c.validation_errors() if field in e]
+        with pytest.raises(ConfigError, match=field):
+            build_scenario(c, 0)
+
+    def test_bound_sample_count_rejected_before_the_bound(self):
+        # without the check numpy fails on an empty saving table mid-bound
+        with pytest.raises(ConfigError, match="bound_esav_samples"):
+            compute_relaxed_bound(cfg(bound_esav_samples=0), 0)
+
+    def test_spread_unchecked_under_channel_truth(self):
+        # the channel model draws savings from fading and never reads it
+        assert cfg(truth_spread=-1.0).validation_errors() == []
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_valid(self, preset):
+        for cell in preset_cells(preset):
+            assert cell.config.validation_errors() == []
 
     def test_slot_length_violation_is_config_error(self):
         with pytest.raises(ConfigError, match="transmit time"):

@@ -447,6 +447,11 @@ class TestMhKernel:
         with pytest.raises(ValueError):
             PriorSwapWhittleEstimator(1, LAPLACE, chain_len=0)
 
+    def test_negative_burn_in_rejected(self):
+        # burn_in + chain_len steps would be fewer than the chain_len averaged
+        with pytest.raises(ValueError, match="burn_in"):
+            PriorSwapWhittleEstimator(2, LAPLACE, chain_len=10, burn_in=-5)
+
     @pytest.mark.parametrize("burn_in", [0, 3])
     def test_batch_kernel_matches_scalar_reference(self, burn_in):
         # one user: the batch kernel consumes the policy stream exactly like

@@ -17,6 +17,8 @@ from whittle_oracles import (
     arm_chain_value_reference,
     arm_groups_reference,
     chain_terms_reference,
+    finite_chain_values_reference,
+    level_means_reference,
     relaxed_upper_bound_reference,
     solve_arm_reference,
     subsidy_threshold,
@@ -29,7 +31,9 @@ from edgebandit.whittle import (
     SubsidizedArmMDP,
     _arm_groups,
     _group_terms,
+    _level_means,
     _solve_arm,
+    _workspace,
     indexability_check,
     relaxed_upper_bound,
     subsidy_threshold_table,
@@ -42,7 +46,7 @@ THEORY1 = PenaltyFn.theory(1.0)
 def _chain_terms(arms, delta, beta, horizon):
     """The bound kernel's ``[value, derivative]`` with ``arms`` grouped for
     this one subsidy."""
-    return _group_terms(_arm_groups(arms, beta), delta, beta, horizon)
+    return _group_terms(_arm_groups(arms, beta, horizon), delta, beta)
 
 
 def mdp(**kw) -> SubsidizedArmMDP:
@@ -466,12 +470,12 @@ class TestKernelMatchesReference:
     )
     @settings(max_examples=150, deadline=None)
     def test_chain_terms_equal_reference(self, arms, deltas, beta, horizon):
-        laws = _arm_groups(arms, beta)
+        laws = _arm_groups(arms, beta, horizon)
         assert sum(len(law.groups) for law in laws) == len(arm_groups_reference(arms))
         for delta in deltas:  # the prebuilt groups serve every subsidy unchanged
             expected = chain_terms_reference(arms, delta, beta, horizon)
             assert list(_chain_terms(arms, delta, beta, horizon)) == list(expected)
-            assert list(_group_terms(laws, delta, beta, horizon)) == list(expected)
+            assert list(_group_terms(laws, delta, beta)) == list(expected)
 
     @given(random_arm_sets(), st.floats(0.5, 0.98), st.sampled_from([None, 1, 3, 25]))
     @settings(max_examples=150, deadline=None)
@@ -497,6 +501,72 @@ class TestKernelMatchesReference:
         ref_passive, ref_values = solve_arm_reference(m, subsidies)
         assert np.array_equal(passive, ref_passive)
         assert np.array_equal(values, ref_values)
+
+
+class TestHorizonMapAndWorkspace:
+    """The per-law horizon map against the recursion it is built from, and
+    groups of arms taking turns on one induction workspace."""
+
+    @given(
+        random_arm_sets(),
+        st.floats(0.5, 0.98),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_map_matches_recursion(self, arms, beta, horizon, seed):
+        rng = np.random.default_rng(seed)
+        for law in _arm_groups(arms, beta, horizon):
+            n_levels = len(law.dur_probs)
+            idle = rng.uniform(-2.0, 2.0, 2)
+            gbar = rng.uniform(-2.0, 2.0, (2, n_levels))
+            hbar = rng.uniform(-2.0, 2.0, (2, n_levels - 1))
+            c = law.horizon_map
+            mapped = c[0] * idle + gbar @ c[1 : n_levels + 1] + hbar @ c[n_levels + 1 :]
+            ref = finite_chain_values_reference(gbar, hbar, idle, law.dur_probs, law.arrival_prob, beta, horizon)
+            if horizon == 1:
+                assert np.array_equal(mapped, ref)
+            else:
+                assert np.all(np.abs(mapped - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    def test_recursion_runs_once_per_law(self, monkeypatch):
+        calls, evaluations = [], []
+        recursion, group_terms = whittle._finite_chain_values, whittle._group_terms
+
+        def counted(*args):
+            calls.append(args)
+            return recursion(*args)
+
+        def evaluated(*args):
+            evaluations.append(args)
+            return group_terms(*args)
+
+        monkeypatch.setattr(whittle, "_finite_chain_values", counted)
+        monkeypatch.setattr(whittle, "_group_terms", evaluated)
+        chains = [small_chain(), small_chain(k=3), small_chain(q=0.3), small_chain(q=0.3, k=1)]
+        relaxed_upper_bound(chains, 1, 0.95, horizon=40)
+        assert len(calls) == 2  # two arrival laws
+        assert len(evaluations) > 2
+
+    def test_wider_group_then_narrower_on_one_workspace(self):
+        wide = [
+            dataclasses.replace(small_chain(k=1), esav_values=np.array([e, 0.5, -1.0]))
+            for e in (-0.7, 0.2, 1.4, 2.0)
+        ]
+        narrow = [dataclasses.replace(small_chain(k=3), esav_values=np.array([0.3, -0.2]))]
+        (law,) = _arm_groups(wide + narrow, 0.9, 12)
+        assert [g.e_work.shape[1] for g in law.groups] == [12, 2]
+        work = _workspace(law.groups[0].e_work.size)
+        for delta in (-0.4, 1.1):
+            for group, members in zip(law.groups, (wide, narrow)):
+                esav = np.stack([a.esav_values for a in members])
+                proto = members[0]
+                for with_deadline in (True, False):
+                    got = _level_means(group, delta, 0.9, 3, with_deadline, work)
+                    ref = level_means_reference(
+                        esav, proto.capacity, proto.penalty, proto.size_probs, delta, 0.9, with_deadline
+                    )
+                    assert np.array_equal(got, ref)
 
 
 class TestSearchMatchesBisection:

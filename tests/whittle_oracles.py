@@ -10,6 +10,10 @@ induction with fancy-index successor gathers and ``np.where`` selects,
 and a ``chain_terms_reference`` that regroups and restacks the arms at
 every subsidy.  It performs the same float operations as the kernel in
 ``edgebandit.whittle``, so the two must agree exactly, not approximately.
+Its finite-horizon step applies a horizon map that it builds itself, by
+running the arrival-mixture recursion ``finite_chain_values_reference``
+on unit inputs; the recursion also stands alone as the oracle of the
+kernel's map.
 
 Last, ``relaxed_upper_bound_reference`` is the bound's earlier dual
 search: a bisection on the sign of the subgradient down to a relative
@@ -238,6 +242,16 @@ def finite_chain_values_reference(
     return idle_gain + beta * c_hist[horizon - 1]
 
 
+def horizon_map_reference(dur_probs: np.ndarray, arrival_prob: float, beta: float, horizon: int) -> np.ndarray:
+    """Coefficients of :func:`finite_chain_values_reference` on (idle gain,
+    gbar columns, hbar columns), shape (2L,), from its unit inputs."""
+    n_levels = len(dur_probs)
+    unit = np.eye(2 * n_levels)
+    return finite_chain_values_reference(
+        unit[:, 1 : n_levels + 1], unit[:, n_levels + 1 :], unit[:, 0], dur_probs, arrival_prob, beta, horizon
+    )
+
+
 def arm_groups_reference(arms: Sequence[ArmChain]) -> dict:
     """Arms keyed by everything but their saving samples, in first-seen order."""
     groups: dict = {}
@@ -277,7 +291,8 @@ def chain_terms_reference(
         law[1] += len(members)
         args = (esav, proto.capacity, proto.penalty, proto.size_probs, delta, beta)
         law[2] = law[2] + level_means_reference(*args, True, force_active)
-        if horizon is not None:
+        if horizon is not None:  # the truncated tables' last level is never read
+            args = (esav, proto.capacity, proto.penalty, proto.size_probs[:-1], delta, beta)
             law[3] = law[3] + level_means_reference(*args, False, force_active)
 
     total = np.zeros(2)
@@ -290,7 +305,9 @@ def chain_terms_reference(
             cont = ((1.0 - q) * idle + q * (gbar @ dur)) / denom
             total += idle + beta * cont
         else:
-            total += finite_chain_values_reference(gbar, hbar, idle, dur, q, beta, horizon)
+            c = horizon_map_reference(dur, q, beta, horizon)
+            n_levels = len(dur)
+            total += c[0] * idle + gbar @ c[1 : n_levels + 1] + hbar @ c[n_levels + 1 :]
     return total
 
 
@@ -319,10 +336,10 @@ def relaxed_upper_bound_reference(
         _bracket(a.penalty, a.size_probs.shape[1], float(np.max(np.abs(a.esav_values))))
         for a in arms
     )
-    laws = _arm_groups(arms, discount)
+    laws = _arm_groups(arms, discount, horizon)
 
     def dual(delta: float) -> tuple[float, float]:
-        value, passive_time = _group_terms(laws, delta, discount, horizon)
+        value, passive_time = _group_terms(laws, delta, discount)
         return float(value) - slope * delta, float(passive_time) - slope
 
     left, right = -width, width
