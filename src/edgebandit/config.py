@@ -145,8 +145,8 @@ class SimConfig:
             errs.append("slot_length must be > 0")
         if self.fading_period_slots < 0:
             errs.append("fading_period_slots must be >= 0")
-        if self.energy_truth in ("gaussian", "laplace") and self.truth_spread < 0:
-            errs.append("truth_spread must be >= 0 under gaussian or laplace truth")
+        if self.energy_truth in ("gaussian", "laplace") and self.truth_spread <= 0:
+            errs.append("truth_spread must be > 0 under gaussian or laplace truth")
         if self.mh_samples < 1:
             errs.append("mh_samples must be >= 1")
         if self.mh_burn_in < 0:

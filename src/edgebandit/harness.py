@@ -13,10 +13,11 @@ Each (scenario, seed) timeline - every arrival slot, duration, size and
 true saving, and every user's measurement noise - is therefore drawn
 once, as arrays, before the slot loop reads it.  Observation k of user i
 reads draw k of its noise stream, whatever task or fading block it falls
-in.  The last timeline drawn is kept, so the cells of one seed that
-differ only in policy-side fields (policy, estimator, servers, penalty,
-discount, learner settings) share it; :func:`run_experiment` runs its
-episodes seed by seed for that reason.
+in.  The last timeline drawn is kept, and so are the last user profiles
+drawn, so the cells of one seed that differ only in policy-side fields
+(policy, estimator, servers, penalty, discount, learner settings) share
+them; :func:`run_experiment` runs its episodes seed by seed for that
+reason.
 """
 
 from __future__ import annotations
@@ -109,8 +110,16 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
     Every validation failure is collected so the error lists all problems
     at once, before any slot executes.  An invalid channel environment
     ends the checks there, because the per-user checks compute with it.
+
+    The profiles read only the fields of the timeline's key, so the last
+    scenario that validated is kept, with read-only arrays, and returned
+    again for a config with the same key once the config's own checks,
+    which cover the policy-side fields too, pass.
     """
     errors = cfg.validation_errors()
+    key = _timeline_key(cfg, seed)
+    if not errors and key in _last_scenario:
+        return _last_scenario[key]
     rng = _stream(cfg.master_seed, seed, 0)
     env = mec.ChannelEnvironment(
         pathloss_const=mec.db_to_linear(cfg.pathloss_const_db),
@@ -172,13 +181,17 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
                     )
     if errors:
         raise ConfigError("; ".join(errors))
-    return Scenario(
+    for arr in (capacities, e_locals, noise_vars):
+        arr.flags.writeable = False
+    _last_scenario.clear()
+    _last_scenario[key] = Scenario(
         profiles=tuple(profiles),
         env=env,
         capacities=capacities,
         e_locals=e_locals,
         noise_vars=noise_vars,
     )
+    return _last_scenario[key]
 
 
 def _true_prior_spec(cfg: SimConfig) -> PriorSpec:
@@ -320,6 +333,7 @@ def _timeline_key(cfg: SimConfig, seed: int) -> tuple[SimConfig, int]:
 
 
 _last_timeline: dict = {}  # at most one entry, {_timeline_key: _Timeline}
+_last_scenario: dict = {}  # at most one entry, {_timeline_key: Scenario}
 
 
 def _shared_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:

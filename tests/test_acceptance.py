@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from learning_oracles import log_of, nig_logpdf, nig_update, prior_swap_logdensity
 from scipy import stats
+from whittle_oracles import CRITERION_1_PENALTIES
 
 from edgebandit.config import ExperimentCell, SimConfig, apply_overrides, preset_cells
 from edgebandit.dynamics import PenaltyFn
@@ -72,13 +73,6 @@ def records_by(result, **match):
 # ---------------------------------------------------------------------------
 # criterion 1: the index against the subsidy-threshold oracle
 # ---------------------------------------------------------------------------
-
-
-CRITERION_1_PENALTIES = {
-    "theory": PenaltyFn.theory(1.0),
-    "experiment": PenaltyFn.experiment(0.5),
-    "experiment-alpha5": PenaltyFn.experiment(5.0),  # the fig6 preset
-}
 
 
 @pytest.mark.parametrize("esav", [-1.0, 0.0, 1.0, 2.5])

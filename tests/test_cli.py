@@ -61,6 +61,16 @@ def test_simulate_negative_laplace_spread_exits_2(tmp_path, capsys):
     assert "truth_spread" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truth", ["gaussian", "laplace"])
+def test_simulate_zero_spread_exits_2(tmp_path, capsys, truth):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"energy_truth = {truth}\nestimator = psbl\ntruth_spread = 0\nnum_users = 8\nnum_servers = 3\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(cfg), "--seeds", "1", "--bound", "--out", str(out)]) == 2
+    assert "truth_spread must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_preset_invalid_setting_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mh_burn_in = -1\n")

@@ -142,6 +142,21 @@ class TestScenario:
         with pytest.raises(ConfigError, match="bound_esav_samples"):
             compute_relaxed_bound(cfg(bound_esav_samples=0), 0)
 
+    @pytest.mark.parametrize("truth", ["gaussian", "laplace"])
+    def test_zero_spread_rejected_before_any_slot_or_bound(self, truth, monkeypatch):
+        # a zero scale made the bound NaN through norm.ppf(q, scale=0) and
+        # failed psbl cells mid-episode in the laplace prior's scale check
+        def ran(*args, **kwargs):
+            raise AssertionError("ran past validation")
+
+        monkeypatch.setattr(harness, "step", ran)
+        monkeypatch.setattr(harness, "relaxed_upper_bound", ran)
+        c = cfg(energy_truth=truth, estimator="psbl", truth_spread=0.0)
+        with pytest.raises(ConfigError, match="truth_spread must be > 0"):
+            run_episode(c, 0)
+        with pytest.raises(ConfigError, match="truth_spread must be > 0"):
+            compute_relaxed_bound(c, 0)
+
     def test_spread_unchecked_under_channel_truth(self):
         # the channel model draws savings from fading and never reads it
         assert cfg(truth_spread=-1.0).validation_errors() == []
@@ -519,6 +534,40 @@ class TestTimeline:
         monkeypatch.setattr(harness, "_draw_timeline", no_draw)
         for p, record in cold.items():
             assert run_episode(dataclasses.replace(c, policy=p), 5) == record
+
+    def test_scenario_drawn_once_per_key(self, monkeypatch):
+        c = cfg(estimator="mle")
+        cold = {}
+        for m in (3, 4):
+            harness._last_scenario.clear()
+            cold[m] = run_episode(dataclasses.replace(c, num_servers=m), 5)
+        scn = build_scenario(c, 5)
+        for arr in (scn.capacities, scn.e_locals, scn.noise_vars):
+            assert not arr.flags.writeable
+
+        def no_draw(*args):
+            raise AssertionError("the profiles were drawn again")
+
+        monkeypatch.setattr(harness.mec, "offload_capacity", no_draw)
+        monkeypatch.setattr(harness, "_draw_timeline", no_draw)
+        assert build_scenario(dataclasses.replace(c, policy="edf", penalty_alpha=2.0), 5) is scn
+        for m, record in cold.items():
+            assert run_episode(dataclasses.replace(c, num_servers=m), 5) == record
+
+    def test_cached_scenario_still_validates_policy_side_fields(self):
+        c = cfg()
+        build_scenario(c, 5)
+        with pytest.raises(ConfigError, match="num_servers"):
+            build_scenario(dataclasses.replace(c, num_servers=c.num_users + 1), 5)
+        with pytest.raises(ConfigError, match="mh_burn_in"):
+            build_scenario(dataclasses.replace(c, mh_burn_in=-1), 5)
+
+    def test_invalid_scenario_not_kept(self):
+        c = cfg(slot_length=1e-6)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="transmit time"):
+                build_scenario(c, 5)
+        assert harness._timeline_key(c, 5) not in harness._last_scenario
 
 
 class TestRelaxedBoundIntegration:

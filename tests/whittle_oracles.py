@@ -15,9 +15,13 @@ running the arrival-mixture recursion ``finite_chain_values_reference``
 on unit inputs; the recursion also stands alone as the oracle of the
 kernel's map.
 
-Last, ``relaxed_upper_bound_reference`` is the bound's earlier dual
+Next, ``relaxed_upper_bound_reference`` is the bound's earlier dual
 search: a bisection on the sign of the subgradient down to a relative
 bracket width, on the same dual evaluations as ``relaxed_upper_bound``.
+
+Last, ``index_reference`` is the exact index's earlier per-call kernel:
+every state solved by ``_crossing`` over all of its schedule lines, which
+the table lookup of ``whittle_index_array`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -34,11 +38,41 @@ from edgebandit.whittle import (
     SubsidizedArmMDP,
     _arm_groups,
     _bracket,
+    _crossing,
     _group_terms,
+    _schedule_lines,
     _solve_arm,
 )
 
 VALUE_ITER_TOL = 1e-10
+
+CRITERION_1_PENALTIES = {
+    "theory": PenaltyFn.theory(1.0),
+    "experiment": PenaltyFn.experiment(0.5),
+    "experiment-alpha5": PenaltyFn.experiment(5.0),  # the fig6 preset
+}
+
+
+def index_reference(tau, backlog, e_saving, capacity, discount: float, penalty: PenaltyFn) -> np.ndarray:
+    """The exact index with every state solved from all of its schedule
+    lines: 0 without work, e plus the crossing at saving 0, and for a
+    negative e where that sum is not positive the crossing at e itself."""
+    arrays = np.broadcast_arrays(
+        np.asarray(tau, dtype=np.int64),
+        np.asarray(backlog, dtype=np.int64),
+        np.asarray(e_saving, dtype=np.float64),
+        np.asarray(capacity, dtype=np.int64),
+    )
+    shape = arrays[0].shape
+    tau, b, e, k = (a.ravel() for a in arrays)
+    ks = np.unique(k)
+    passive, active = _schedule_lines(ks, max(int(tau.max()), 1), max(int(b.max()), 1), discount, penalty)
+    at = (np.searchsorted(ks, k), tau, b)
+    passive, active = passive[at], active[at]
+    out = np.where(b > 0, e + _crossing(passive, active, np.zeros(e.size)), 0.0)
+    neg = (e < 0) & (out <= 0) & (b > 0)
+    out[neg] = _crossing(passive[neg], active[neg], e[neg])
+    return out.reshape(shape)
 
 
 def subsidy_threshold(
