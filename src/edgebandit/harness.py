@@ -13,11 +13,10 @@ Each (scenario, seed) timeline - every arrival slot, duration, size and
 true saving, and every user's measurement noise - is therefore drawn
 once, as arrays, before the slot loop reads it.  Observation k of user i
 reads draw k of its noise stream, whatever task or fading block it falls
-in.  The last timeline drawn is kept, and so are the last user profiles
-drawn, so the cells of one seed that differ only in policy-side fields
-(policy, estimator, servers, penalty, discount, learner settings) share
-them; :func:`run_experiment` runs its episodes seed by seed for that
-reason.
+in.  The last user profiles drawn are kept with their timeline, so the
+cells of one seed that differ only in policy-side fields (policy,
+estimator, servers, penalty, discount, learner settings) share them;
+:func:`run_experiment` runs its episodes seed by seed for that reason.
 """
 
 from __future__ import annotations
@@ -118,8 +117,8 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
     """
     errors = cfg.validation_errors()
     key = _timeline_key(cfg, seed)
-    if not errors and key in _last_scenario:
-        return _last_scenario[key]
+    if not errors and key in _last_drawn:
+        return _last_drawn[key].scenario
     rng = _stream(cfg.master_seed, seed, 0)
     env = mec.ChannelEnvironment(
         pathloss_const=mec.db_to_linear(cfg.pathloss_const_db),
@@ -183,15 +182,16 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
         raise ConfigError("; ".join(errors))
     for arr in (capacities, e_locals, noise_vars):
         arr.flags.writeable = False
-    _last_scenario.clear()
-    _last_scenario[key] = Scenario(
+    scn = Scenario(
         profiles=tuple(profiles),
         env=env,
         capacities=capacities,
         e_locals=e_locals,
         noise_vars=noise_vars,
     )
-    return _last_scenario[key]
+    _last_drawn.clear()
+    _last_drawn[key] = _Drawn(scn)
+    return scn
 
 
 def _true_prior_spec(cfg: SimConfig) -> PriorSpec:
@@ -332,18 +332,25 @@ def _timeline_key(cfg: SimConfig, seed: int) -> tuple[SimConfig, int]:
     return dataclasses.replace(cfg, **{f: getattr(_DEFAULTS, f) for f in _POLICY_SIDE_FIELDS}), seed
 
 
-_last_timeline: dict = {}  # at most one entry, {_timeline_key: _Timeline}
-_last_scenario: dict = {}  # at most one entry, {_timeline_key: Scenario}
+@dataclass
+class _Drawn:
+    """The scenario of one timeline key and, once an episode needs it, the
+    timeline drawn from it."""
+
+    scenario: Scenario
+    timeline: Optional[_Timeline] = None
 
 
-def _shared_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
-    """The timeline of (cfg, seed): the last one drawn if its key matches,
-    else drawn from ``scn`` and kept in its place."""
-    key = _timeline_key(cfg, seed)
-    if key not in _last_timeline:
-        _last_timeline.clear()
-        _last_timeline[key] = _draw_timeline(cfg, scn, seed)
-    return _last_timeline[key]
+_last_drawn: dict = {}  # at most one entry, {_timeline_key: _Drawn}
+
+
+def _shared_timeline(cfg: SimConfig, seed: int) -> _Timeline:
+    """The timeline of (cfg, seed), drawn on first use from the scenario
+    that :func:`build_scenario` kept for the same key."""
+    drawn = _last_drawn[_timeline_key(cfg, seed)]
+    if drawn.timeline is None:
+        drawn.timeline = _draw_timeline(cfg, drawn.scenario, seed)
+    return drawn.timeline
 
 
 class _PsblBatch:
@@ -427,7 +434,7 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     n, m, horizon, beta = cfg.num_users, cfg.num_servers, cfg.horizon, cfg.discount
     caps = scn.capacities
 
-    timeline = _shared_timeline(cfg, scn, seed)
+    timeline = _shared_timeline(cfg, seed)
     period = cfg.fading_period_slots
     policy_rng = _stream(cfg.master_seed, seed, 4)
 

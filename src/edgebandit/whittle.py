@@ -7,11 +7,9 @@ Within a task each first action is worth the best of its one-block
 schedules, lines in the subsidy and the saving (:func:`_schedule_lines`),
 and the index is where the passive-now envelope first reaches the
 active-now one (:func:`_crossing`).  For a saving e >= 0 the index is e
-plus its value at 0.  For e < 0 below that shift it is piecewise linear
-in e: the tables trace each state's pieces once (:func:`_index_pieces`)
-and keep the few passive-now lines that run along them, so a call solves
-those lines against the state's active-now ones with the same float
-operations (:func:`_reach`) instead of all of them.
+plus its value at 0, read from the tables.  For e < 0 below that shift a
+call solves the crossing from the state's lines, which the tables hold
+side by side per flat state index.
 
 The index is cross-checked against an independent oracle: a finite
 subsidized single-arm MDP solved by exact backward induction, with the
@@ -103,7 +101,7 @@ def _cover(x: int, least: int, step: int) -> int:
 
 def _schedule_lines(
     capacities: np.ndarray, tau_max: int, b_max: int, discount: float, penalty: PenaltyFn
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, int]:
     """Every one-block schedule of every state on the grid (capacity, tau,
     backlog), as a line ``slope * delta + weight * e_saving + offset``.
 
@@ -111,51 +109,45 @@ def _schedule_lines(
     ``tau`` remaining ones.  Its slope is the discounted count of passive
     slots, its weight that of active slots that still have backlog, and its
     offset the discounted deadline penalty on the leftover.  Returns
-    ``(passive_now, active_now)`` of shapes (capacity, tau, b, 3, P) and
-    (capacity, tau, b, 3, A), the axis of length 3 being (slope, weight,
-    offset).  Passive-now blocks start later or never (the empty block);
-    active-now blocks start now.  A block that would outlast the deadline
-    is replaced by one that fits on the same side (never active; always
-    active), which changes no envelope.
+    ``(lines, n_active)``: ``lines`` of shape (3, capacity, tau, b, line),
+    the first axis being (slope, weight, offset), holds the ``n_active``
+    active-now blocks and then the passive-now ones.  Active-now blocks
+    start now; passive-now blocks start later or never (the empty block).
+    A block that would outlast the deadline is replaced by one that fits
+    on the same side (always active; never active), which changes no
+    envelope.
     """
     first, last = np.triu_indices(tau_max + 1, 1)  # 0 <= first < last <= tau_max
     now = first == 0
-    k = capacities[:, None, None, None]
-    t = np.arange(tau_max + 1)[None, :, None, None]
-    b = np.arange(b_max + 1)[None, None, :, None]
+    t = np.arange(tau_max + 1)[:, None, None]
+    b = np.arange(b_max + 1)[None, :, None]
     csum = np.concatenate([[0.0], np.cumsum(discount ** np.arange(tau_max, dtype=np.float64))])
     fpen = penalty.table(b_max)
-    out = []
-    for i, j, stay_active in (
-        (np.append(first[~now], 0), np.append(last[~now], 0), False),
-        (first[now], last[now], True),
-    ):
-        fits = j <= t
-        i = np.where(fits, i, 0)
-        j = np.where(fits, j, t if stay_active else 0)
-        busy = np.minimum(j - i, -(-np.maximum(b - i, 0) // k))
-        lines = np.empty((k.shape[0], tau_max + 1, b_max + 1, 3, i.shape[-1]))
-        lines[..., 0, :] = csum[t] - (csum[j] - csum[i])
-        lines[..., 1, :] = csum[i + busy] - csum[i]
-        lines[..., 2, :] = -discount ** np.maximum(t - 1.0, 0.0) * fpen[
-            np.maximum(b - t - (k - 1) * (j - i), 0)
-        ]
-        out.append(lines)
-    return out[0], out[1]
+    n_active = int(now.sum())
+    lines = np.empty((3, capacities.size, tau_max + 1, b_max + 1, first.size + 1))
+    sides = (first[now], last[now], True), (np.append(first[~now], 0), np.append(last[~now], 0), False)
+    for r, k in enumerate(capacities.tolist()):  # one capacity at a time keeps the temporaries small
+        for (i, j, stay_active), side in zip(sides, (lines[:, r, ..., :n_active], lines[:, r, ..., n_active:])):
+            fits = j <= t
+            i = np.where(fits, i, 0)
+            j = np.where(fits, j, t if stay_active else 0)
+            busy = np.minimum(j - i, -(-np.maximum(b - i, 0) // k))
+            side[0] = csum[t] - (csum[j] - csum[i])
+            side[1] = csum[i + busy] - csum[i]
+            side[2] = -discount ** np.maximum(t - 1.0, 0.0) * fpen[np.maximum(b - t - (k - 1) * (j - i), 0)]
+    return lines, n_active
 
 
-def _reach(lines: np.ndarray, n_active: int, e_saving: np.ndarray) -> np.ndarray:
-    """Least subsidy at which each passive-now line reaches the active-now
-    envelope, per row: ``lines`` holds the (slope, weight, offset) of a
-    row's ``n_active`` active-now lines and then of its passive-now ones,
-    as entries of ``_schedule_lines``, and the result has shape (row,
-    passive).
+def _crossing(lines: np.ndarray, n_active: int, e_saving: np.ndarray) -> np.ndarray:
+    """Least subsidy at which the passive-now envelope reaches the active-now
+    one, per row: ``lines`` of shape (3, row, line) holds the (slope,
+    weight, offset) of a row's ``n_active`` active-now lines and then of
+    its passive-now ones, as entries of ``_schedule_lines``.
 
     Each passive-now line reaches every active-now line on an interval of
-    subsidies (empty, bounded or a half-line); the line reaches the
-    envelope at the least point of their intersection, and never (+inf)
-    when that is empty.  The pair axes are (row, active, passive).  Two
-    schedules can have equal slopes (equal discounted passive time, exact
+    subsidies (empty, bounded or a half-line); the answer is the least left
+    end of a nonempty interval.  The pair axes are (row, active, passive).
+    Two schedules can have equal slopes (equal discounted passive time, exact
     for some discounts or after rounding): such a pair bounds the subsidy
     from below by +inf (never), by -inf or, when the lines coincide, not at
     all (nan, which fmax skips).
@@ -168,116 +160,8 @@ def _reach(lines: np.ndarray, n_active: int, e_saving: np.ndarray) -> np.ndarray
         # the passive line is at least the active one iff ds * delta >= ra - rp
         cross = (r[:, :n_active, None] - r[:, None, n_active:]) / ds
     lo = np.fmax.reduce(np.where(up, cross, -np.inf), axis=1)
-    hi = np.minimum.reduce(np.where(up, np.inf, cross), axis=1)
-    return np.where(lo <= hi, lo, np.inf)
-
-
-def _crossing(passive_now: np.ndarray, active_now: np.ndarray, e_saving: np.ndarray) -> np.ndarray:
-    """Least subsidy at which the passive-now envelope reaches the active-now
-    one, per row of ``_schedule_lines`` entries: the least :func:`_reach`
-    of the row's passive-now lines."""
-    lines = np.concatenate([active_now, passive_now], axis=2).transpose(1, 0, 2)
-    return np.minimum.reduce(_reach(lines, active_now.shape[-1], e_saving), axis=1)
-
-
-# A line whose height above the index curve changes with the saving by at
-# most this fraction of the size of its terms runs parallel to the curve;
-# rounding moves an event by at most this fraction of the size of the
-# terms that place it.
-_ALONG = 1e-12
-# A parallel line this close to the curve, relative to the size of the
-# terms at a piece's probe, ties with it (see :func:`_index_pieces`).
-_TIED = 1e-6
-
-
-def _index_pieces(
-    passive: np.ndarray, active: np.ndarray, zero: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pieces of the index over the savings e < 0 with e + ``zero`` <= 0
-    of states with work: ``passive`` and ``active`` are their rows of
-    ``_schedule_lines`` entries and ``zero`` their index at saving 0.
-
-    Returns ``(state, left, right, tied)``, one entry per piece: the row of
-    its state, the piece's savings (left, right] and, of shape (piece,
-    passive), the passive-now lines that tie with the index curve there.
-    Within a piece the index is one pair's crossing, affine in e, and the
-    least :func:`_reach` is attained on the lines that run along the
-    curve.  Lines parallel to it can still tie in the last place of a
-    float, so those within ``_TIED`` of the size of the terms at the
-    piece's probe count as tied; one further off could tie only at savings
-    about 1 / ``_TIED`` times the probe's.
-
-    The curve is traced from the right end of the range leftward.  A probe
-    evaluates the index and its winning pair at one saving.  Along the
-    curve every other line's height above the winning line of its side
-    (active or passive) is affine in e; the piece ends where one overtakes
-    it going left: an active line caps the winning passive line or a
-    passive line undercuts it.  A probe whose piece stops short of the
-    right end is followed by one halfway between.  A passive region opening
-    below the curve away from it, which would break indexability at that
-    saving, is no such event; the tests check that none opens on the grids
-    the presets use.
-    """
-    n_active = active.shape[-1]
-    state = np.arange(zero.size)
-    right = np.minimum(-zero, 0.0)
-    right_blur = np.zeros_like(right)
-    probe = right - (1.0 + np.abs(right))
-    found = []
-    while state.size:
-        ps, acts = passive[state], active[state]
-        lines = np.concatenate([acts, ps], axis=2)
-        rows = np.arange(state.size)
-        # the winning passive line at the probe
-        lp = ps[rows, :, _reach(lines.transpose(1, 0, 2), n_active, probe).argmin(axis=1)]
-        # the active line it meets there: the one bounding its reach from below
-        up = lp[:, 0, None] - acts[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            meet = ((acts[:, 1] * probe[:, None] + acts[:, 2]) - (lp[:, 1] * probe + lp[:, 2])[:, None]) / up
-        la = acts[rows, :, np.where(up > 0.0, meet, -np.inf).argmax(axis=1)]
-        # the curve is subsidy = slope * e + height, where the two lines meet
-        slope, height = (la[:, 1:] - lp[:, 1:]).T / (lp[:, 0] - la[:, 0])
-        # each line's height above the winning line of its side along the
-        # curve is drift * e + (tilt + lift): its terms at e = 0 keep the
-        # precision of the lines' own whatever the distance to the probe
-        side = np.concatenate(
-            [np.broadcast_to(la[:, :, None], acts.shape), np.broadcast_to(lp[:, :, None], ps.shape)], axis=2
-        )
-        ds, dw, lift = (lines - side).transpose(1, 0, 2)
-        tilt = ds * height[:, None]
-        drift = ds * slope[:, None] + dw
-        # the two lines' own terms, at the probe and per unit of e
-        terms = np.abs(lines) + np.abs(side)
-        flat = np.abs(drift) <= _ALONG * (terms[:, 0] * np.abs(slope)[:, None] + terms[:, 1])
-        curve = np.abs(np.stack([slope * probe + height, probe, np.ones_like(probe)], axis=1))[:, :, None]
-        size = (terms * curve).sum(axis=1)
-        tied = flat & (np.abs(drift * probe[:, None] + tilt + lift) <= _TIED * size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            at = -(tilt + lift) / drift  # where the line overtakes
-            # rounding's reach: relative errors of the two terms, the drift's
-            # growing as its own terms cancel
-            blur = _ALONG * (np.abs(tilt) + np.abs(lift) + np.abs(at) * (np.abs(ds * slope[:, None]) + np.abs(dw)))
-            blur /= np.abs(drift)
-        left = np.where(~flat & (drift < 0.0) & (at <= probe[:, None]), at, -np.inf)
-        upper = np.where(~flat & (drift > 0.0) & (at > probe[:, None]), at, np.inf)
-        i, j = left.argmax(axis=1), upper.argmin(axis=1)
-        start, end = left[rows, i], upper[rows, j]
-        # the piece reaches the right end, up to the blur of the two events
-        # computed from either side of it, or leaves no room for a probe
-        mid = 0.5 * (end + right)
-        done = (end == np.inf) | (end + blur[rows, j] >= right - right_blur) | ~((probe < mid) & (mid < right))
-        found.append((state[done], start[done], right[done], tied[done, n_active:]))
-        # the next piece is probed between its right end and the winner's
-        # next event below, if any
-        below = np.where(left < start[:, None], left, -np.inf).max(axis=1)
-        after = np.where(below > -np.inf, 0.5 * (start + below), start - (1.0 + np.abs(start)))
-        probe = np.where(done, after, mid)
-        right = np.where(done, start, right)
-        right_blur = np.where(done, blur[rows, i], right_blur)
-        keep = ~done | (start > -np.inf)
-        state, right, right_blur, probe = state[keep], right[keep], right_blur[keep], probe[keep]
-    state, left, right, along = (np.concatenate(part) for part in zip(*found))
-    return state, left, right, along
+    hi = np.where(up, np.inf, cross).min(axis=1)
+    return np.where(lo <= hi, lo, np.inf).min(axis=1)
 
 
 class _IndexTables(NamedTuple):
@@ -306,41 +190,19 @@ def _index_tables(
     the crossing moves by exactly e.
 
     For e < 0 with e + zero <= 0, which is e <= the cut (-inf on the states
-    without work), the index is piecewise linear in e
-    (:func:`_index_pieces`).  State s keeps ``lines[:, s]``, the (slope,
-    weight, offset) of its ``n_active`` active-now schedule lines and then
-    of one of each passive-now line that ties with its index curve on some
-    piece, repeated to a common width.  Every other passive-now line
-    reaches the active envelope later, so the least :func:`_reach` over
-    the kept lines is the index, float for float with :func:`_crossing`
-    away from the breakpoints (and short of savings about 1 / ``_TIED``
-    times a piece's scale, see :func:`_index_pieces`).
+    without work), :func:`_crossing` solves the index from ``lines[:, s]``:
+    the (slope, weight, offset) of state s's ``n_active`` active-now
+    schedule lines and then of its passive-now ones.
     """
     ks = np.array(capacities)
-    passive, active = _schedule_lines(ks, tau_max, b_max, discount, penalty)
+    lines, n_active = _schedule_lines(ks, tau_max, b_max, discount, penalty)
     zero = np.zeros((ks.size, tau_max + 1, b_max + 1))
-    keep = np.zeros(zero.shape + passive.shape[-1:], dtype=bool)
     no_saving = np.zeros(b_max)
     for r in range(ks.size):  # one (capacity, tau) row at a time keeps the pairs small
         for t in range(1, tau_max + 1):
-            lines = passive[r, t, 1:], active[r, t, 1:]
-            zero[r, t, 1:] = _crossing(*lines, no_saving)
-            rows, _, _, tied = _index_pieces(*lines, zero[r, t, 1:])
-            np.logical_or.at(keep[r, t, 1:], rows, tied)
-            # one of each set of identical lines, which reach the envelope alike
-            order = np.lexsort(lines[0].transpose(1, 0, 2), axis=-1)
-            ranked = np.take_along_axis(lines[0], order[:, None, :], axis=-1)
-            repeat = (ranked[:, :, 1:] == ranked[:, :, :-1]).all(axis=1)
-            keep[r, t, 1:][np.arange(b_max)[:, None], order[:, 1:]] &= ~repeat
-    per_row = zero[0].size
-    keep = keep.reshape(zero.size, -1)
-    passive = passive.reshape(zero.size, 3, -1)
-    count = keep.sum(axis=1)
-    # the kept lines first, then the first of them again up to the width
-    pick = np.argsort(~keep, axis=1, kind="stable")[:, : count.max()]
-    pick = np.where(np.arange(pick.shape[1]) < count[:, None], pick, pick[:, :1])
+            zero[r, t, 1:] = _crossing(lines[:, r, t, 1:], n_active, no_saving)
     row = np.zeros(ks[-1] + 1, dtype=np.int64)
-    row[ks] = np.arange(ks.size) * per_row
+    row[ks] = np.arange(ks.size) * zero[0].size
     # e + zero <= 0 exactly when e <= -zero, and e < 0 when e <= -(least subnormal)
     cut = np.minimum(-zero, -np.nextafter(0.0, 1.0))
     cut[:, 0, :] = cut[:, :, 0] = -np.inf
@@ -349,10 +211,8 @@ def _index_tables(
         row=row,
         stride=b_max + 1,
         work_zero_cut=np.stack([work.ravel(), zero.ravel(), cut.ravel()]),
-        n_active=active.shape[-1],
-        lines=np.concatenate(
-            [active.reshape(zero.size, 3, -1), np.take_along_axis(passive, pick[:, None, :], axis=-1)], axis=2
-        ).transpose(1, 0, 2).copy(),
+        n_active=n_active,
+        lines=lines.reshape(3, zero.size, -1),
     )
     for table in tables:
         if isinstance(table, np.ndarray):
@@ -400,13 +260,11 @@ def whittle_index_array(
     the avoidable deadline penalty beyond that; for a convex penalty it is
     the three-regime closed form (flat, urgent, hopeless).  A negative
     saving whose e plus the table is not positive gives an index between e
-    and 0, where finishing early itself earns subsidy.  There the index is
-    piecewise linear in e, and it is read from the state's cached lines:
-    the few passive schedules that run along its index curve, against its
-    active ones.  The shift by e needs discount < 1, which
-    ``SubsidizedArmMDP`` and ``SimConfig`` require: with discount 1
-    schedules could tie on a whole interval of subsidies, whose least point
-    can lie below e plus the table.
+    and 0, where finishing early itself earns subsidy; such states are
+    solved per state from the cached schedule lines.  The shift by e needs
+    discount < 1, which ``SubsidizedArmMDP`` and ``SimConfig`` require:
+    with discount 1 schedules could tie on a whole interval of subsidies,
+    whose least point can lie below e plus the table.
 
     Savings must be finite.  One-dimensional arrays of the computing dtypes
     and one shape are used as they are; anything else is broadcast and
@@ -438,11 +296,10 @@ def whittle_index_array(
     out = e_saving * work + zero  # 0 without work, e plus zero with it
     # with e < 0, at subsidies >= 0 no best schedule acts on an emptied slot
     # either, so there passivity is optimal exactly from e + zero on; when
-    # that is positive it is the index, otherwise it is read from the lines
+    # that is positive it is the index, otherwise it is solved from the lines
     neg = (e_saving <= cut).nonzero()
     if neg[0].size:
-        state = state[neg]
-        out[neg] = np.minimum.reduce(_reach(tables.lines.take(state, axis=1), tables.n_active, e_saving[neg]), axis=1)
+        out[neg] = _crossing(tables.lines.take(state[neg], axis=1), tables.n_active, e_saving[neg])
     return out
 
 

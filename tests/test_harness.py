@@ -520,9 +520,10 @@ class TestTimeline:
         c = cfg(estimator="mle")
         cold = {}
         for p in ("wi", "edf"):
-            harness._last_timeline.clear()
+            harness._last_drawn.clear()
             cold[p] = run_episode(dataclasses.replace(c, policy=p), 5)
-        (timeline,) = harness._last_timeline.values()
+        (drawn,) = harness._last_drawn.values()
+        timeline = drawn.timeline
         for arr in timeline:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -539,7 +540,7 @@ class TestTimeline:
         c = cfg(estimator="mle")
         cold = {}
         for m in (3, 4):
-            harness._last_scenario.clear()
+            harness._last_drawn.clear()
             cold[m] = run_episode(dataclasses.replace(c, num_servers=m), 5)
         scn = build_scenario(c, 5)
         for arr in (scn.capacities, scn.e_locals, scn.noise_vars):
@@ -567,7 +568,7 @@ class TestTimeline:
         for _ in range(2):
             with pytest.raises(ConfigError, match="transmit time"):
                 build_scenario(c, 5)
-        assert harness._timeline_key(c, 5) not in harness._last_scenario
+        assert harness._timeline_key(c, 5) not in harness._last_drawn
 
 
 class TestRelaxedBoundIntegration:

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 from dynamics_oracles import TaskState
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from whittle_oracles import (
     CRITERION_1_PENALTIES,
@@ -33,10 +33,8 @@ from edgebandit.whittle import (
     SubsidizedArmMDP,
     _arm_groups,
     _group_terms,
-    _index_pieces,
     _index_tables,
     _level_means,
-    _schedule_lines,
     _solve_arm,
     _workspace,
     indexability_check,
@@ -147,13 +145,8 @@ class TestClosedForm:
 @st.composite
 def index_cases(draw):
     """States of random capacity sets under a random discount and penalty,
-    with negative savings of normal size and a penalty coefficient that is
-    0 or keeps the discounted penalties normal floats.  A subnormal saving
-    lies within rounding of the breakpoint at 0: crossings that differ by
-    less than its last place can tie there, and the lookup may return one
-    subnormal step away from the reference (5e-324 apart at e = -5e-324).
-    Subnormal offsets carry too few digits for the relative tolerances that
-    trace the pieces (a coefficient of 5e-324 put one state 0.4% off)."""
+    with savings of either sign and penalty coefficients from 0 up,
+    subnormal ones included."""
     caps = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
     n = draw(st.integers(1, 40))
     column = lambda elements: st.lists(elements, min_size=n, max_size=n)  # noqa: E731
@@ -161,21 +154,11 @@ def index_cases(draw):
     return dict(
         tau=np.array(draw(column(st.integers(1, 10)))),
         backlog=np.array(draw(column(st.integers(0, 32)))),
-        e_saving=np.array(draw(column(st.floats(-1e3, -np.finfo(float).tiny)))),
+        e_saving=np.array(draw(column(st.floats(-1e3, 1e3)))),
         capacity=np.array(draw(column(st.sampled_from(caps)))),
         discount=draw(st.floats(0.05, 0.999)),
-        penalty=kind(draw(st.just(0.0) | st.floats(1e-200, 20.0))),
+        penalty=kind(draw(st.floats(0.0, 20.0))),
     )
-
-
-def _grid_pieces(k: int, beta: float, penalty: PenaltyFn):
-    """The pieces of every state with work on the grid tau <= 10, backlog
-    <= 30 of one capacity, as (tau, backlog, left, right) arrays."""
-    passive, active = _schedule_lines(np.array([k]), 10, 30, beta, penalty)
-    tau, b = (a.ravel() + 1 for a in np.meshgrid(np.arange(10), np.arange(30), indexing="ij"))
-    zero = index_reference(tau, b, 0.0, k, beta, penalty)
-    state, left, right, _ = _index_pieces(passive[0, tau, b], active[0, tau, b], zero)
-    return tau[state], b[state], left, right
 
 
 class TestIndexLookup:
@@ -183,59 +166,48 @@ class TestIndexLookup:
     solves every state from all of its schedule lines."""
 
     @given(index_cases())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=50, deadline=None)
+    @example(  # subnormal penalty offsets
+        dict(
+            tau=np.array([5]),
+            backlog=np.array([12]),
+            e_saving=np.array([-1.0]),
+            capacity=np.array([6]),
+            discount=0.328125,
+            penalty=PenaltyFn.theory(5e-324),
+        )
+    )
+    @example(  # a subnormal saving, next to the breakpoint at 0
+        dict(
+            tau=np.arange(1, 11),
+            backlog=np.full(10, 12),
+            e_saving=np.full(10, -5e-324),
+            capacity=np.full(10, 2),
+            discount=0.99,
+            penalty=PenaltyFn.experiment(5.0),
+        )
+    )
     def test_equals_full_crossing(self, case):
         np.testing.assert_array_equal(whittle_index_array(**case), index_reference(**case))
 
     @pytest.mark.parametrize("pen_name", list(CRITERION_1_PENALTIES))
-    def test_pieces_on_criterion_1_grid(self, pen_name):
-        # == inside every piece; the two pairs that meet at a breakpoint
-        # agree there up to rounding
+    def test_equals_full_crossing_on_criterion_1_grid(self, pen_name):
+        # every state of tau <= 10, backlog <= 30, at savings from -1e4 to 1
+        # and next to the cut e = -zero, where the lookup turns from the
+        # shift to the crossing
         penalty = CRITERION_1_PENALTIES[pen_name]
+        tau, b = (a.ravel() for a in np.meshgrid(np.arange(1, 11), np.arange(31), indexing="ij"))
         for k in (1, 2, 3, 4, 5, 10):
             for beta in (0.9, 0.99):
-                tau, b, left, right = _grid_pieces(k, beta, penalty)
-                inside = np.where(left > -np.inf, 0.5 * (left + right), right - 1.0 - np.abs(right))
-                far = np.minimum(inside, -1e4)
-                for e in (inside, far):
-                    got = whittle_index_array(tau, b, e, k, beta, penalty)
-                    np.testing.assert_array_equal(got, index_reference(tau, b, e, k, beta, penalty))
-                at = np.concatenate([(left > -np.inf).nonzero()[0], (right < 0.0).nonzero()[0]])
-                ends = np.concatenate([left[left > -np.inf], right[right < 0.0]])
-                if at.size:
-                    got = whittle_index_array(tau[at], b[at], ends, k, beta, penalty)
-                    want = index_reference(tau[at], b[at], ends, k, beta, penalty)
-                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-
-    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 10.0])
-    def test_no_passive_region_below_the_index(self, alpha):
-        # Where passivity is optimal at some subsidy, the index is at most
-        # that subsidy.  Each passive-now line is optimal on a convex
-        # polygon of (saving, subsidy) whose corners are where it meets two
-        # active-now lines; none may lie below the index on the grids of
-        # the presets (discount 0.99, the experiment penalty at each alpha
-        # of fig3-fig8, tau <= 10, backlog <= 30).
-        penalty, beta = PenaltyFn.experiment(alpha), 0.99
-        i, j = np.triu_indices(10, 1)
-        for k in (1, 2, 3, 4, 5, 10):
-            passive, active = _schedule_lines(np.array([k]), 10, 30, beta, penalty)
-            for t in range(1, 11):
-                # L_p - L_a as (slope, weight, offset) per (backlog, active, passive)
-                d = passive[0, t, 1:, :, None, :] - active[0, t, 1:, :, :, None]
-                s1, w1, o1 = d[:, 0, i], d[:, 1, i], d[:, 2, i]
-                s2, w2, o2 = d[:, 0, j], d[:, 1, j], d[:, 2, j]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    det = s1 * w2 - s2 * w1
-                    delta = (w1 * o2 - w2 * o1) / det
-                    e = (s2 * o1 - s1 * o2) / det
-                    size = np.abs(delta)[:, None] + np.abs(e)[:, None] + 1.0
-                    gap = d[:, 0, :, None] * delta[:, None] + d[:, 1, :, None] * e[:, None] + d[:, 2, :, None]
-                    meets = gap >= -1e-9 * (np.abs(d[:, :, :, None]).sum(axis=1) * size)
-                corner = meets.all(axis=1) & (-1e6 < e) & (e < 0.0)
-                b, _, _ = corner.nonzero()
-                index = whittle_index_array(t, b + 1, e[corner], k, beta, penalty)
-                below = delta[corner] < index - 1e-9 * (1.0 + np.abs(index))
-                assert not below.any(), (k, t, b[below], e[corner][below], delta[corner][below], index[below])
+                cut = -index_reference(tau, b, 0.0, k, beta, penalty)
+                e = np.concatenate(
+                    [
+                        np.broadcast_to(np.concatenate([-np.logspace(-8, 4, 25), [0.0, 1.0]])[:, None], (27, cut.size)),
+                        [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)],
+                    ]
+                )
+                got = whittle_index_array(tau, b, e, k, beta, penalty)
+                np.testing.assert_array_equal(got, index_reference(tau, b, e, k, beta, penalty))
 
     def test_tables_built_once_per_capacity_set_and_read_only(self):
         pen = PenaltyFn.experiment(0.7)

@@ -66,12 +66,11 @@ def index_reference(tau, backlog, e_saving, capacity, discount: float, penalty: 
     shape = arrays[0].shape
     tau, b, e, k = (a.ravel() for a in arrays)
     ks = np.unique(k)
-    passive, active = _schedule_lines(ks, max(int(tau.max()), 1), max(int(b.max()), 1), discount, penalty)
-    at = (np.searchsorted(ks, k), tau, b)
-    passive, active = passive[at], active[at]
-    out = np.where(b > 0, e + _crossing(passive, active, np.zeros(e.size)), 0.0)
+    lines, n_active = _schedule_lines(ks, max(int(tau.max()), 1), max(int(b.max()), 1), discount, penalty)
+    lines = lines[:, np.searchsorted(ks, k), tau, b]
+    out = np.where(b > 0, e + _crossing(lines, n_active, np.zeros(e.size)), 0.0)
     neg = (e < 0) & (out <= 0) & (b > 0)
-    out[neg] = _crossing(passive[neg], active[neg], e[neg])
+    out[neg] = _crossing(lines[:, neg], n_active, e[neg])
     return out.reshape(shape)
 
 
