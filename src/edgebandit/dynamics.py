@@ -74,7 +74,9 @@ class ActionVector:
 
     @classmethod
     def of(cls, indices: Sequence[int]) -> "ActionVector":
-        return cls(selected=frozenset(int(i) for i in indices))
+        """The set of ``indices``, a sequence or an integer array, as
+        Python ints: one ``tolist`` converts them all at once."""
+        return cls(selected=frozenset(np.asarray(indices, dtype=np.int64).tolist()))
 
     def __contains__(self, user: int) -> bool:
         return user in self.selected
@@ -113,19 +115,26 @@ def _leftover(backlog, action, capacity):
     return np.maximum(backlog - capacity * action - (1 - action), 0)
 
 
+def _reward(tau, backlog, action, e_saving, leftover, penalty: PenaltyFn) -> np.ndarray:
+    # the reward formula, given this slot's leftover
+    earned = e_saving * action
+    return np.where(
+        backlog > 0,
+        np.where(tau > 1, earned, earned - penalty.values(leftover)),
+        0.0,
+    )
+
+
 def reward(tau, backlog, action, e_saving, capacity, penalty: PenaltyFn) -> np.ndarray:
     """Per-slot reward of every user: the energy saving when offloading,
     minus the penalty on subtasks left unfinished at the deadline.
 
     Arguments are per-user arrays (or scalars, which broadcast); ``action``
-    is 1 where the user offloads and 0 where it does not.
+    is 1 where the user offloads and 0 where it does not.  Greedy's gain
+    calls this for both actions; :func:`step` computes the same rewards
+    from the leftover it already holds.
     """
-    earned = e_saving * action
-    return np.where(
-        backlog > 0,
-        np.where(tau > 1, earned, earned - penalty.values(_leftover(backlog, action, capacity))),
-        0.0,
-    )
+    return _reward(tau, backlog, action, e_saving, _leftover(backlog, action, capacity), penalty)
 
 
 class SlotStep(NamedTuple):
@@ -144,12 +153,15 @@ def step(tau, backlog, action, e_saving, capacity, penalty: PenaltyFn) -> SlotSt
     one and the backlog drops by ``capacity`` (selected) or 1 (not selected),
     clamped at zero.  Every other user (its deadline expires now, or it is
     idle) comes out at ``(0, 0)``; the caller then draws its next task.
+
+    The leftover is computed once and serves both the next backlog and the
+    reward, which equals :func:`reward` on the same arguments bit for bit.
     """
     leftover = _leftover(backlog, action, capacity)
     running = tau >= 2
     return SlotStep(
-        reward(tau, backlog, action, e_saving, capacity, penalty),
+        _reward(tau, backlog, action, e_saving, leftover, penalty),
         leftover,
-        np.where(running, tau - 1, 0),
-        np.where(running, leftover, 0),
+        (tau - 1) * running,
+        leftover * running,
     )

@@ -10,10 +10,11 @@ identical arrivals, workloads, deadlines, and channel draws; learning
 policies cannot perturb the environment they are measured on.
 
 Each (scenario, seed) timeline - every arrival slot, duration, size and
-true saving, and every user's measurement noise - is therefore drawn
-once, as arrays, before the slot loop reads it.  Observation k of user i
-reads draw k of its noise stream, whatever task or fading block it falls
-in.  The last user profiles drawn are kept with their timeline, so the
+true saving - is therefore drawn once, as arrays, before the slot loop
+reads it, and so is every user's measurement noise, once the first
+episode with a learner needs it.  Observation k of user i reads draw k of
+its noise stream, whatever task or fading block it falls in.  The last
+user profiles drawn are kept with their timeline and noise, so the
 cells of one seed that differ only in policy-side fields (policy,
 estimator, servers, penalty, discount, learner settings) share them;
 :func:`run_experiment` runs its episodes seed by seed for that reason.
@@ -35,7 +36,7 @@ from . import mec
 from .config import ConfigError, ExperimentCell, SimConfig
 from .dynamics import TaskGenerator, reward, step
 # ``observe`` stays importable as ``harness.observe``, a name the benchmark
-# tracer hooks; the episode reads its noise from the timeline instead
+# tracer hooks; the episode reads its measurement noise from _draw_noise instead
 from .learning import (
     BayesWhittleEstimator,
     MleWhittleEstimator,
@@ -249,10 +250,7 @@ class _Timeline(NamedTuple):
     The arrivals at the end of slot t are rows ``starts[t]:starts[t+1]`` of
     ``user``, ``duration`` and ``size``, users ascending.  ``saving`` holds
     the true saving of each arrival or, when ``fading_period_slots > 0``,
-    one row of every user's saving per fading block.  Row i of ``noise``
-    is the first ``horizon`` standard normals of user i's noise stream: a
-    user measures at most once per slot, and its k-th measurement reads
-    column k.
+    one row of every user's saving per fading block.
     """
 
     starts: np.ndarray
@@ -260,7 +258,6 @@ class _Timeline(NamedTuple):
     duration: np.ndarray
     size: np.ndarray
     saving: np.ndarray
-    noise: np.ndarray
 
 
 def _draw_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
@@ -274,9 +271,7 @@ def _draw_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
     horizon, period = cfg.horizon, cfg.fading_period_slots
     events: list[tuple[int, int, int, int]] = []  # (slot, user, duration, size)
     savings: list[float] = []
-    noise = np.empty((cfg.num_users, horizon))
     for i in range(cfg.num_users):
-        noise[i] = _stream(cfg.master_seed, seed, 3, i).standard_normal(horizon)
         tasks = _stream(cfg.master_seed, seed, 1, i)
         fading = _stream(cfg.master_seed, seed, 2, i)
         gen = _task_generator(cfg, int(scn.capacities[i]))
@@ -301,10 +296,21 @@ def _draw_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
         saving = saving.reshape(cfg.num_users, -1).T.copy()
     slot, user, duration, size = cols[order].T.copy()
     starts = np.searchsorted(slot, np.arange(horizon + 1))
-    timeline = _Timeline(starts, user, duration, size, saving, noise)
+    timeline = _Timeline(starts, user, duration, size, saving)
     for arr in timeline:
         arr.flags.writeable = False
     return timeline
+
+
+def _draw_noise(cfg: SimConfig, seed: int) -> np.ndarray:
+    """Read-only (N, T) measurement noise: row i is the first ``horizon``
+    standard normals of user i's noise stream.  A user measures at most
+    once per slot, and its k-th measurement reads column k."""
+    noise = np.empty((cfg.num_users, cfg.horizon))
+    for i in range(cfg.num_users):
+        noise[i] = _stream(cfg.master_seed, seed, 3, i).standard_normal(cfg.horizon)
+    noise.flags.writeable = False
+    return noise
 
 
 # fields that neither the scenario nor the timeline reads; every other
@@ -334,11 +340,12 @@ def _timeline_key(cfg: SimConfig, seed: int) -> tuple[SimConfig, int]:
 
 @dataclass
 class _Drawn:
-    """The scenario of one timeline key and, once an episode needs it, the
-    timeline drawn from it."""
+    """The scenario of one timeline key and, once an episode needs them, the
+    timeline drawn from it and the measurement noise (learners only)."""
 
     scenario: Scenario
     timeline: Optional[_Timeline] = None
+    noise: Optional[np.ndarray] = None
 
 
 _last_drawn: dict = {}  # at most one entry, {_timeline_key: _Drawn}
@@ -351,6 +358,15 @@ def _shared_timeline(cfg: SimConfig, seed: int) -> _Timeline:
     if drawn.timeline is None:
         drawn.timeline = _draw_timeline(cfg, drawn.scenario, seed)
     return drawn.timeline
+
+
+def _shared_noise(cfg: SimConfig, seed: int) -> np.ndarray:
+    """The measurement noise of (cfg, seed), drawn on the first episode
+    that has a learner and kept beside the timeline."""
+    drawn = _last_drawn[_timeline_key(cfg, seed)]
+    if drawn.noise is None:
+        drawn.noise = _draw_noise(cfg, seed)
+    return drawn.noise
 
 
 class _PsblBatch:
@@ -435,11 +451,13 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     caps = scn.capacities
 
     timeline = _shared_timeline(cfg, seed)
+    starts = timeline.starts.tolist()
     period = cfg.fading_period_slots
     policy_rng = _stream(cfg.master_seed, seed, 4)
 
     learner = _learner(cfg, n)
     psbl = _PsblBatch(learner) if cfg.estimator == "psbl" else None
+    noise = _shared_noise(cfg, seed) if learner is not None else None
     noise_sd = np.sqrt(scn.noise_vars)
     # each user's measurements so far; its noise stream runs on across
     # tasks and fading blocks, so this never resets
@@ -448,10 +466,13 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     tau = np.zeros(n, dtype=np.int64)
     backlog = np.zeros(n, dtype=np.int64)
     # only the index policies rank by the index and only greedy by the
-    # gain; the others get zeros
+    # gain; the others keep zeros
     index_policy = kind in (PolicyKind.WI, PolicyKind.STLW_WI)
-    wi = np.zeros(n)
-    gain = np.zeros(n)
+    # one key array serves every slot: its user and capacity columns are
+    # constant, and each slot rewrites the rest in place, so a caller of
+    # select that keeps the keys past its slot must copy them
+    keys = slot_keys(tau, backlog, caps, 0.0, 0.0)
+    fields = keys.view(np.ndarray)
     # 0 until a user's first task (or its first fading block) sets it
     esav_true = np.zeros(n)
 
@@ -482,15 +503,18 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
                 )
         esav_ranking = np.where(tau > 0, believed, 0.0)
 
+        fields["tau"] = tau
+        fields["backlog"] = backlog
         if index_policy:
-            wi = whittle_index_array(tau, backlog, esav_ranking, caps, beta, penalty)
+            fields["wi"] = whittle_index_array(tau, backlog, esav_ranking, caps, beta, penalty)
         if kind is PolicyKind.GREEDY:
             # the immediate advantage of acting: reward(s, 1) - reward(s, 0)
             gain = reward(tau, backlog, 1, esav_ranking, caps, penalty)
             gain -= reward(tau, backlog, 0, esav_ranking, caps, penalty)
-        action = select(kind, slot_keys(tau, backlog, caps, wi, gain), m)
+            fields["gain"] = gain
+        action = select(kind, keys, m)
         sel = np.zeros(n, dtype=np.int64)
-        sel[list(action.selected)] = 1
+        sel[np.fromiter(action.selected, np.int64, m)] = 1
 
         # rewards use the true savings regardless of what the policy knows
         slot = step(tau, backlog, sel, esav_true, caps, penalty)
@@ -501,13 +525,13 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
         realized_saving += float(esav_true[offloading].sum())
 
         ended = tau == 1
-        deadline_tasks += int(ended.sum())
-        completed_tasks += int((ended & (slot.leftover == 0)).sum())
+        deadline_tasks += int(np.count_nonzero(ended))
+        completed_tasks += int(np.count_nonzero(ended & (slot.leftover == 0)))
 
         if learner is not None:
             users = np.nonzero(offloading)[0]
             if users.size:
-                obs = esav_true[users] + noise_sd[users] * timeline.noise[users, n_obs[users]]
+                obs = esav_true[users] + noise_sd[users] * noise[users, n_obs[users]]
                 n_obs[users] += 1
                 if cfg.estimator == "bl":
                     learner.update(users, obs, policy_rng)
@@ -515,7 +539,7 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
                     learner.update(users, obs)
 
         tau, backlog = slot.tau, slot.backlog
-        rows = slice(timeline.starts[t], timeline.starts[t + 1])
+        rows = slice(starts[t], starts[t + 1])
         arrived = timeline.user[rows]
         if arrived.size:
             tau[arrived] = timeline.duration[rows]

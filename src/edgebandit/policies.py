@@ -73,6 +73,11 @@ def slot_keys(tau, backlog, capacity, wi, gain) -> np.recarray:
     user's index and ``gain`` the immediate advantage of acting,
     reward(s, 1) - reward(s, 0).  ``capacity`` is the user's per-slot
     offload capacity.
+
+    The ``user`` and ``capacity`` columns do not change within an episode,
+    so a caller may build the array once and, each slot, write the other
+    four fields through ``keys.view(np.ndarray)``.  Anything that keeps the
+    keys of one slot must then copy them.
     """
     keys = np.empty(len(tau), KEY_DTYPE)
     keys["user"] = np.arange(len(tau))
@@ -140,8 +145,9 @@ def ranked(kind: PolicyKind, keys: np.ndarray, num_servers: int) -> np.ndarray:
     if num_servers > keys.size:
         raise ValueError("cannot select more users than exist")
     tau, backlog, capacity = keys["tau"], keys["backlog"], keys["capacity"]
-    work = (tau > 0) & (backlog > 0)
-    cls = np.where(work, 0, np.where(tau > 0, 3, 4))
+    holding = tau > 0
+    work = holding & (backlog > 0)
+    cls = 4 - holding - 3 * work  # 0 with work, 3 holding an emptied task, 4 idle
     if kind is PolicyKind.WI:
         crit = -keys["wi"]
     elif kind is PolicyKind.GREEDY:

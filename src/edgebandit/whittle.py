@@ -174,7 +174,9 @@ class _IndexTables(NamedTuple):
     lines: np.ndarray
 
 
-@functools.lru_cache(maxsize=4)
+# room for every penalty of one preset's seed: fig4's seven cells differ
+# only in penalty_alpha, and each table is ~2 MB at the paper's sizes
+@functools.lru_cache(maxsize=8)
 def _index_tables(
     capacities: tuple[int, ...], tau_max: int, b_max: int, discount: float, penalty: PenaltyFn
 ) -> _IndexTables:

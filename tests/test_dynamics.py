@@ -273,6 +273,17 @@ class TestStepSystem:
         assert done[0] is True and done[1] is False
 
 
+class TestActionVector:
+    def test_of_list_array_and_empty(self):
+        users = [3, 0, 7]
+        for indices in (users, np.array(users, dtype=np.int64)):
+            selected = ActionVector.of(indices).selected
+            assert selected == frozenset(users)
+            assert all(type(u) is int for u in selected)
+        for empty in ([], np.zeros(0, dtype=np.int64)):
+            assert ActionVector.of(empty).selected == frozenset()
+
+
 @st.composite
 def slots(draw):
     """One random slot: N users in valid states, M of them selected."""
@@ -292,6 +303,32 @@ def slots(draw):
 
 
 class TestArrayStep:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 10),
+                st.integers(0, 30),
+                st.integers(1, 5),
+                st.integers(0, 1),
+                st.one_of(st.sampled_from([-0.0, 0.0, -2.5]), st.floats(-3.0, 3.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([PenaltyFn.theory, PenaltyFn.experiment]),
+        st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_step_shares_reward_and_leftover(self, users, form, alpha):
+        """The step's one leftover gives the bytes of reward and _leftover."""
+        tau, backlog, caps, action = (np.array(col, dtype=np.int64) for col in list(zip(*users))[:4])
+        saving = np.array([u[4] for u in users])
+        penalty = form(alpha)
+        out = dynamics.step(tau, backlog, action, saving, caps, penalty)
+        expected = dynamics.reward(tau, backlog, action, saving, caps, penalty)
+        assert out.reward.tobytes() == expected.tobytes()
+        assert out.leftover.tobytes() == dynamics._leftover(backlog, action, caps).tobytes()
+
     @given(slots())
     @settings(max_examples=300, deadline=None)
     def test_array_step_matches_oracle(self, slot):

@@ -34,6 +34,7 @@ from edgebandit.config import (
 )
 from edgebandit.harness import (
     RunRecord,
+    _draw_noise,
     _draw_timeline,
     _run_episode_full,
     _size_matrix,
@@ -254,11 +255,16 @@ class TestEpisode:
 
 def record_episode(c: SimConfig, seed: int):
     """Run one episode, recording each slot's (tau, backlog, action) at the
-    harness's call to ``select``."""
+    harness's call to ``select``, and check at each call that the reused key
+    array keeps its constant columns."""
     slots = []
     real = harness.select
+    caps = build_scenario(c, seed).capacities
 
     def recording(kind, keys, num_servers):
+        assert isinstance(keys, np.recarray)
+        np.testing.assert_array_equal(keys.user, np.arange(c.num_users), strict=True)
+        np.testing.assert_array_equal(keys.capacity, caps, strict=True)
         action = real(kind, keys, num_servers)
         slots.append((keys.tau.copy(), keys.backlog.copy(), action))
         return action
@@ -480,12 +486,29 @@ class TestTimeline:
     @settings(max_examples=40, deadline=None)
     def test_noise_matches_scalar_draws(self, n, horizon, master_seed, seed, k):
         c = cfg(num_users=n, num_servers=1, horizon=horizon, master_seed=master_seed)
-        timeline = _draw_timeline(c, build_scenario(c, seed), seed)
-        assert timeline.noise.shape == (n, horizon)
+        noise = _draw_noise(c, seed)
+        assert noise.shape == (n, horizon)
         k = min(k, horizon)
         for i in range(n):
             expected = replay_noise(c, seed, i, k)
-            np.testing.assert_array_equal(timeline.noise[i, :k], expected, strict=True)
+            np.testing.assert_array_equal(noise[i, :k], expected, strict=True)
+
+    def test_noise_drawn_only_for_learners(self, monkeypatch):
+        c = cfg()
+        harness._last_drawn.clear()
+
+        def no_draw(*args):
+            raise AssertionError("a known-saving cell drew the noise")
+
+        monkeypatch.setattr(harness, "_draw_noise", no_draw)
+        for p in ("wi", "edf"):
+            run_episode(dataclasses.replace(c, policy=p), 5)
+        (drawn,) = harness._last_drawn.values()
+        assert drawn.noise is None
+        monkeypatch.setattr(harness, "_draw_noise", _draw_noise)
+        run_episode(dataclasses.replace(c, estimator="mle"), 5)
+        assert not drawn.noise.flags.writeable
+        np.testing.assert_array_equal(drawn.noise, _draw_noise(c, 5), strict=True)
 
     def test_policy_side_fields_leave_timeline_equal(self):
         assert set(POLICY_SIDE) == set(harness._POLICY_SIDE_FIELDS)
