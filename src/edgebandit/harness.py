@@ -18,6 +18,13 @@ user profiles drawn are kept with their timeline and noise, so the
 cells of one seed that differ only in policy-side fields (policy,
 estimator, servers, penalty, discount, learner settings) share them;
 :func:`run_experiment` runs its episodes seed by seed for that reason.
+
+Only two computations here need scipy: the prior-swapping learner's
+Metropolis-Hastings target (``gammaln``) and the relaxed bound's saving
+quantiles under gaussian truth (``norm.ppf``).  Each imports it where it
+is used, and :func:`run_experiment` imports ``multiprocessing`` only to
+run more than one job, so importing the package loads numpy and its own
+modules only.
 """
 
 from __future__ import annotations
@@ -25,12 +32,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import mec
 from .config import ConfigError, ExperimentCell, SimConfig
@@ -382,14 +387,17 @@ class _PsblBatch:
     """
 
     def __init__(self, learner: PriorSwapWhittleEstimator):
+        from scipy.special import gammaln
+
         self.learner = learner
+        self._gammaln = gammaln
 
     def _target(self, lam, mu, phi, nu):
         """Log target at (saving, log variance): the swapped density, whose
         shared inverse-gamma variance prior cancels, plus the Jacobian.  The
         posterior is fixed within a slot, so its constants are folded once."""
         fp = self.learner.false_prior
-        const = 0.5 * (np.log(lam) - math.log(fp.lam)) + nu * np.log(phi) - gammaln(nu)
+        const = 0.5 * (np.log(lam) - math.log(fp.lam)) + nu * np.log(phi) - self._gammaln(nu)
         half_lam, half_fp_lam = 0.5 * lam, 0.5 * fp.lam
         true_logpdf = self.learner.true_prior.logpdf
 
@@ -466,8 +474,9 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     tau = np.zeros(n, dtype=np.int64)
     backlog = np.zeros(n, dtype=np.int64)
     # only the index policies rank by the index and only greedy by the
-    # gain; the others keep zeros
+    # gain, both from the believed savings; the others keep zeros
     index_policy = kind in (PolicyKind.WI, PolicyKind.STLW_WI)
+    reads_saving = index_policy or kind is PolicyKind.GREEDY
     # one key array serves every slot: its user and capacity columns are
     # constant, and each slot rewrites the rest in place, so a caller of
     # select that keeps the keys past its slot must copy them
@@ -501,10 +510,11 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
                 trace_lines.extend(
                     f"{t},{i},{believed[i]:.17g},{esav_true[i]:.17g}" for i in range(n)
                 )
-        esav_ranking = np.where(tau > 0, believed, 0.0)
 
         fields["tau"] = tau
         fields["backlog"] = backlog
+        if reads_saving:
+            esav_ranking = np.where(tau > 0, believed, 0.0)
         if index_policy:
             fields["wi"] = whittle_index_array(tau, backlog, esav_ranking, caps, beta, penalty)
         if kind is PolicyKind.GREEDY:
@@ -741,6 +751,8 @@ def run_experiment(
             bound_tasks.setdefault(_bound_key(cfg, s), ("bound", cfg, s))
     work += bound_tasks.values()
     if jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             outcomes = pool.map(_task, work)
     else:

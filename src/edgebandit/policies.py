@@ -110,6 +110,11 @@ def _stlw_pops(keys: np.ndarray, slack: np.ndarray, work: np.ndarray, num_server
     lets finished tasks and lost causes (least slack of all) capture server
     slots, and low-index dominators drag their high-index victims below the
     cut; both measurably collapse completion under load.
+
+    When no user among the first ``num_servers`` priority positions has a
+    dominator, those users are available from the start and every user
+    freed later sits below them, so the heap would pop exactly them, in
+    priority order; the walk is skipped.
     """
     w = np.flatnonzero(work)
     w = w[np.lexsort((keys["user"][w], -keys["wi"][w]))]  # the pop priority
@@ -120,7 +125,7 @@ def _stlw_pops(keys: np.ndarray, slack: np.ndarray, work: np.ndarray, num_server
     edge = no_more & ~no_more.T
     indegree = np.zeros(w.size, np.int64)
     indegree[flat] = edge.sum(axis=0)
-    if not indegree.any():
+    if not indegree[:num_servers].any():
         return w[:num_servers]
     # successors in pop-priority positions; a heap of positions pops the
     # available user of largest index first

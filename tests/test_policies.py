@@ -5,7 +5,9 @@ select through the array form; the dominance-graph tests check the
 reference graph and sort, and ``TestMatchesOracle`` ties the two together.
 """
 
+import heapq
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -296,6 +298,37 @@ class TestStlwSelection:
                 select(PolicyKind.STLW_WI, keys, m).selected
                 == select(PolicyKind.WI, keys, m).selected
             )
+
+    # priority (index) order 0, 1, 2, 3; the one dominance edge is 3 -> 2
+    SLOT = [
+        dag_key(0, slack=1, backlog=5, wi=3.0),
+        dag_key(1, slack=5, backlog=1, wi=2.0),
+        dag_key(2, slack=4, backlog=4, wi=1.0),
+        dag_key(3, slack=3, backlog=3, wi=0.5),
+    ]
+
+    def _ranked_counting_pops(self, monkeypatch, m):
+        pops = []
+
+        def heappop(heap):
+            pops.append(heap[0])
+            return heapq.heappop(heap)
+
+        spy = SimpleNamespace(heappop=heappop, heappush=heapq.heappush)
+        monkeypatch.setattr(policies, "heapq", spy)
+        got = policies.ranked(PolicyKind.STLW_WI, as_slot_keys(self.SLOT), m).tolist()
+        return got, pops
+
+    def test_dominated_only_below_cut_is_priority_prefix(self, monkeypatch):
+        assert build_stlw_dag(self.SLOT).edges() == [(3, 2)]
+        got, pops = self._ranked_counting_pops(monkeypatch, 2)
+        assert got == [0, 1] == ranked(self.SLOT, PolicyKind.STLW_WI)[:2]
+        assert pops == []  # no heap walk
+
+    def test_dominated_inside_cut_walks_the_heap(self, monkeypatch):
+        got, pops = self._ranked_counting_pops(monkeypatch, 3)
+        assert got == [0, 1, 3] == ranked(self.SLOT, PolicyKind.STLW_WI)[:3]
+        assert pops == [0, 1, 3]  # priority positions, here the user ids
 
 
 @st.composite
