@@ -13,7 +13,11 @@ Each (scenario, seed) timeline - every arrival slot, duration, size and
 true saving - is therefore drawn once, as arrays, before the slot loop
 reads it, and so is every user's measurement noise, once the first
 episode with a learner needs it.  Observation k of user i reads draw k of
-its noise stream, whatever task or fading block it falls in.  The last
+its noise stream, whatever task or fading block it falls in.  The task
+streams are read raw: every user's arrival checks, durations and sizes are
+drawn in lockstep from its PCG64 outputs, which reproduce numpy's scalar
+``random()`` and ``integers()`` calls bit for bit, and each user's savings
+take one vector call on its fading stream.  The last
 user profiles drawn are kept with their timeline and noise, so the
 cells of one seed that differ only in policy-side fields (policy,
 estimator, servers, penalty, discount, learner settings) share them;
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import mec
 from .config import ConfigError, ExperimentCell, SimConfig
-from .dynamics import TaskGenerator, reward, step
+from .dynamics import reward, step
 # ``observe`` stays importable as ``harness.observe``, a name the benchmark
 # tracer hooks; the episode reads its measurement noise from _draw_noise instead
 from .learning import (
@@ -219,36 +223,6 @@ def _size_window(cfg: SimConfig, capacity: int, duration: int) -> tuple[int, int
     return lo, hi
 
 
-def _task_generator(cfg: SimConfig, capacity: int) -> TaskGenerator:
-    size_dist = None
-    if cfg.task_size_rule != "uniform":
-
-        def size_dist(rng: np.random.Generator, duration: int) -> int:
-            lo, hi = _size_window(cfg, capacity, duration)
-            return int(rng.integers(lo, hi + 1))
-
-    return TaskGenerator(
-        arrival_prob=cfg.arrival_prob,
-        max_duration=cfg.max_task_duration,
-        max_task_size=cfg.max_task_size,
-        size_dist=size_dist,
-    )
-
-
-def _draw_saving(cfg: SimConfig, scn: Scenario, rng: np.random.Generator, i: int) -> float:
-    """One draw of user ``i``'s true per-block energy saving from its fading stream."""
-    if cfg.energy_truth == "channel":
-        kappa = rng.exponential(1.0)
-        profile = scn.profiles[i]
-        gain = mec.channel_gain(scn.env, profile.distance, kappa)
-        rate = mec.transmission_rate(profile, gain, scn.env)
-        e_off = mec.offload_energy(profile, rate, int(scn.capacities[i])).energy
-        return mec.energy_saving(float(scn.e_locals[i]), e_off, int(scn.capacities[i]))
-    if cfg.energy_truth == "gaussian":
-        return float(rng.normal(cfg.truth_location, math.sqrt(cfg.truth_spread)))
-    return float(rng.laplace(cfg.truth_location, cfg.truth_spread))
-
-
 class _Timeline(NamedTuple):
     """The action-independent draws of one (scenario, seed), as read-only arrays.
 
@@ -265,41 +239,164 @@ class _Timeline(NamedTuple):
     saving: np.ndarray
 
 
+class _RawDraws:
+    """numpy's scalar ``Generator.random()`` and ``Generator.integers(lo, hi + 1)``
+    on many PCG64 streams at once, made bit for bit from their raw outputs.
+
+    Each call advances the streams listed in ``users`` (distinct indices)
+    by one call each.  Raw outputs are read ``width`` at a time into the
+    stream's row of a buffer, and a row is refilled before any read that
+    would run past its end.  ``random()`` is ``(raw >> 11) * 2**-53`` and
+    takes one raw.  ``integers`` over a range ``r = hi - lo`` takes nothing
+    when r is 0, and otherwise runs Lemire's multiply-and-reject on 32-bit
+    draws: a 32-bit draw is the low half of a fresh raw, and the stream
+    keeps the high half for its next 32-bit draw, across calls and past any
+    ``random()``, as numpy's PCG64 does.
+    """
+
+    def __init__(self, bitgens: Sequence[np.random.BitGenerator], width: int = 64):
+        self.bitgens = bitgens
+        self.width = width
+        self.buf = np.empty((len(bitgens), width), dtype=np.uint64)
+        self.pos = np.full(len(bitgens), width)  # every row starts spent
+        self.half = np.zeros(len(bitgens), dtype=np.uint64)
+        self.has_half = np.zeros(len(bitgens), dtype=bool)
+
+    def _raw(self, users: np.ndarray) -> np.ndarray:
+        pos = self.pos[users]
+        spent = pos == self.width
+        for i in users[spent].tolist():
+            self.buf[i] = self.bitgens[i].random_raw(self.width)
+        pos[spent] = 0
+        self.pos[users] = pos + 1
+        return self.buf[users, pos]
+
+    def random(self, users: np.ndarray) -> np.ndarray:
+        return (self._raw(users) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+    def _uint32(self, users: np.ndarray) -> np.ndarray:
+        has = self.has_half[users]
+        out = np.empty(users.size, dtype=np.uint64)
+        out[has] = self.half[users[has]]
+        fresh = users[~has]
+        raw = self._raw(fresh)
+        out[~has] = raw & np.uint64(0xFFFFFFFF)
+        self.half[fresh] = raw >> np.uint64(32)
+        self.has_half[users] = ~has
+        return out
+
+    def integers(self, users: np.ndarray, lo: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """One ``integers(lo, lo + r + 1)`` per listed stream; ``lo`` and
+        ``r`` are int64 arrays aligned with ``users``."""
+        if (r >= 0xFFFFFFFF).any():
+            raise ValueError("integer ranges of 2**32 - 1 or more are not reproduced")
+        out = lo.copy()
+        (drawn,) = r.nonzero()
+        users, excl = users[drawn], r[drawn].astype(np.uint64) + np.uint64(1)
+        threshold = (np.uint64(1 << 32) - excl) % excl
+        m = self._uint32(users) * excl
+        (redo,) = (m & np.uint64(0xFFFFFFFF) < threshold).nonzero()
+        while redo.size:
+            m[redo] = self._uint32(users[redo]) * excl[redo]
+            redo = redo[m[redo] & np.uint64(0xFFFFFFFF) < threshold[redo]]
+        out[drawn] += (m >> np.uint64(32)).astype(np.int64)
+        return out
+
+
+def _size_windows(cfg: SimConfig, capacities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's size windows as (N, D) arrays of lows and widths
+    ``hi - lo``; column d - 1 holds the window of duration d."""
+    durations = range(1, cfg.max_task_duration + 1)
+    caps = capacities.tolist()
+    by_cap = {k: [_size_window(cfg, k, d) for d in durations] for k in set(caps)}
+    windows = np.array([by_cap[k] for k in caps], dtype=np.int64)
+    lo, hi = windows[..., 0], windows[..., 1]
+    return lo, hi - lo
+
+
+def _draw_savings(cfg: SimConfig, scn: Scenario, seed: int, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[i]`` true savings of each user i's fading stream,
+    concatenated user by user.
+
+    One vector call per user returns the values of as many scalar calls.
+    The channel saving runs mec's float operations in mec's order, on
+    per-user constants and with ``math.log2`` per value, where ``np.log2``
+    can differ in the last bit.
+    """
+    draws = []
+    for i, k in enumerate(counts.tolist()):
+        if k:
+            rng = _stream(cfg.master_seed, seed, 2, i)
+            if cfg.energy_truth == "channel":
+                draws.append(rng.exponential(1.0, k))
+            elif cfg.energy_truth == "gaussian":
+                draws.append(rng.normal(cfg.truth_location, math.sqrt(cfg.truth_spread), k))
+            else:
+                draws.append(rng.laplace(cfg.truth_location, cfg.truth_spread, k))
+    values = np.concatenate(draws) if draws else np.empty(0)
+    if cfg.energy_truth != "channel":
+        return values
+    env = scn.env
+    consts = np.array(
+        [
+            (
+                (env.ref_distance / p.distance) ** env.pathloss_exp,
+                p.tx_power,
+                env.noise_density * p.bandwidth,
+                p.bandwidth,
+                k * p.subtask_bits,
+                k * e_local,
+            )
+            for p, k, e_local in zip(scn.profiles, scn.capacities.tolist(), scn.e_locals.tolist())
+        ]
+    )
+    path, tx_power, noise_power, bandwidth, bits, e_local = consts.repeat(counts, axis=0).T
+    snr = 1.0 + tx_power * (values * env.pathloss_const * path) / noise_power
+    rate = bandwidth * np.fromiter(map(math.log2, snr.tolist()), dtype=np.float64, count=snr.size)
+    if (rate <= 0).any():
+        raise ValueError("zero-rate channel")
+    return e_local - bits / rate * tx_power
+
+
 def _draw_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
-    """Walk each user's task and fading streams once, with the calls and in
-    the order of a slot-by-slot episode.
+    """Draw every arrival and saving from each user's task and fading
+    streams, with the values and in the order of a slot-by-slot episode.
 
     A user is checked for an arrival at the end of every slot it ends idle;
     the countdown runs whatever the policy does, so after an arrival of
-    duration d the next check is d slots later.
+    duration d the next check is d slots later.  The walk advances every
+    user that has not reached the horizon by one check per step, reading
+    the task streams raw through :class:`_RawDraws`.
     """
-    horizon, period = cfg.horizon, cfg.fading_period_slots
-    events: list[tuple[int, int, int, int]] = []  # (slot, user, duration, size)
-    savings: list[float] = []
-    for i in range(cfg.num_users):
-        tasks = _stream(cfg.master_seed, seed, 1, i)
-        fading = _stream(cfg.master_seed, seed, 2, i)
-        gen = _task_generator(cfg, int(scn.capacities[i]))
-        t = 0
-        while t < horizon:
-            if gen.maybe_arrival(tasks):
-                duration, size = gen.draw(tasks)
-                events.append((t, i, duration, size))
-                if period == 0:
-                    savings.append(_draw_saving(cfg, scn, fading, i))
-                t += duration
-            else:
-                t += 1
-        if period > 0:
-            savings.extend(_draw_saving(cfg, scn, fading, i) for _ in range(0, horizon, period))
-    cols = np.array(events, dtype=np.int64).reshape(-1, 4)
-    order = np.argsort(cols[:, 0], kind="stable")  # by slot, then user
-    saving = np.array(savings)
+    n, horizon, period = cfg.num_users, cfg.horizon, cfg.fading_period_slots
+    draws = _RawDraws([_stream(cfg.master_seed, seed, 1, i).bit_generator for i in range(n)])
+    size_lo, size_r = _size_windows(cfg, scn.capacities)
+    users = np.arange(n)
+    t = np.zeros(n, dtype=np.int64)
+    found = []  # per step: (slot, user, duration, size) of its arrivals
+    while users.size:
+        hit = draws.random(users) < cfg.arrival_prob
+        who = users[hit]
+        duration = draws.integers(
+            who, np.ones(who.size, dtype=np.int64), np.full(who.size, cfg.max_task_duration - 1)
+        )
+        size = draws.integers(who, size_lo[who, duration - 1], size_r[who, duration - 1])
+        found.append((t[hit], who, duration, size))
+        t[hit] += duration
+        t[~hit] += 1
+        left = t < horizon
+        users, t = users[left], t[left]
+    slot, user, duration, size = (np.concatenate(col) for col in zip(*found))
+    order = np.lexsort((user, slot))  # by slot, then user
     if period == 0:
+        counts = np.bincount(user, minlength=n)
+        saving = np.empty(slot.size)
+        saving[np.lexsort((slot, user))] = _draw_savings(cfg, scn, seed, counts)  # user by user
         saving = saving[order]
     else:
-        saving = saving.reshape(cfg.num_users, -1).T.copy()
-    slot, user, duration, size = cols[order].T.copy()
+        blocks = len(range(0, horizon, period))
+        saving = _draw_savings(cfg, scn, seed, np.full(n, blocks)).reshape(n, blocks).T.copy()
+    slot, user, duration, size = (col[order] for col in (slot, user, duration, size))
     starts = np.searchsorted(slot, np.arange(horizon + 1))
     timeline = _Timeline(starts, user, duration, size, saving)
     for arr in timeline:

@@ -8,18 +8,23 @@ the simulation harness against it.  :func:`replay_timeline` and
 :func:`replay_noise` are the slot-by-slot form of the episode's
 action-independent draws, which the harness now makes once per (scenario,
 seed).
+:func:`task_generator` and :func:`draw_saving` are the per-user, per-call
+draws that the replay makes and that the harness now reproduces from the
+raw streams.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from edgebandit import mec
 from edgebandit.config import SimConfig
 from edgebandit.dynamics import ActionVector, PenaltyFn, TaskGenerator
-from edgebandit.harness import Scenario, _draw_saving, _stream, _task_generator
+from edgebandit.harness import Scenario, _size_window, _stream
 
 
 @dataclass(frozen=True, order=True)
@@ -178,6 +183,37 @@ def step_system(
     return SystemState(per_user=tuple(nxt), slot=state.slot + 1), rewards, events
 
 
+def task_generator(cfg: SimConfig, capacity: int) -> TaskGenerator:
+    """User's task generator: sizes drawn from the config's size window."""
+    size_dist = None
+    if cfg.task_size_rule != "uniform":
+
+        def size_dist(rng: np.random.Generator, duration: int) -> int:
+            lo, hi = _size_window(cfg, capacity, duration)
+            return int(rng.integers(lo, hi + 1))
+
+    return TaskGenerator(
+        arrival_prob=cfg.arrival_prob,
+        max_duration=cfg.max_task_duration,
+        max_task_size=cfg.max_task_size,
+        size_dist=size_dist,
+    )
+
+
+def draw_saving(cfg: SimConfig, scn: Scenario, rng: np.random.Generator, i: int) -> float:
+    """One draw of user ``i``'s true per-block energy saving from its fading stream."""
+    if cfg.energy_truth == "channel":
+        kappa = rng.exponential(1.0)
+        profile = scn.profiles[i]
+        gain = mec.channel_gain(scn.env, profile.distance, kappa)
+        rate = mec.transmission_rate(profile, gain, scn.env)
+        e_off = mec.offload_energy(profile, rate, int(scn.capacities[i])).energy
+        return mec.energy_saving(float(scn.e_locals[i]), e_off, int(scn.capacities[i]))
+    if cfg.energy_truth == "gaussian":
+        return float(rng.normal(cfg.truth_location, math.sqrt(cfg.truth_spread)))
+    return float(rng.laplace(cfg.truth_location, cfg.truth_spread))
+
+
 def replay_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> tuple[list, list]:
     """The arrival and saving draws of one episode, made slot by slot.
 
@@ -191,19 +227,19 @@ def replay_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> tuple[list, lis
     n, period = cfg.num_users, cfg.fading_period_slots
     task_rngs = [_stream(cfg.master_seed, seed, 1, i) for i in range(n)]
     fading_rngs = [_stream(cfg.master_seed, seed, 2, i) for i in range(n)]
-    gens = [_task_generator(cfg, int(k)) for k in scn.capacities]
+    gens = [task_generator(cfg, int(k)) for k in scn.capacities]
     tau = [0] * n
     events: list = []
     blocks: list = []
     for t in range(cfg.horizon):
         if period > 0 and t % period == 0:
-            blocks.append([_draw_saving(cfg, scn, fading_rngs[i], i) for i in range(n)])
+            blocks.append([draw_saving(cfg, scn, fading_rngs[i], i) for i in range(n)])
         for i in range(n):
             # the deadline countdown runs whatever the action
             tau[i] = max(tau[i] - 1, 0)
             if tau[i] == 0 and gens[i].maybe_arrival(task_rngs[i]):
                 tau[i], size = gens[i].draw(task_rngs[i])
-                saving = _draw_saving(cfg, scn, fading_rngs[i], i) if period == 0 else None
+                saving = draw_saving(cfg, scn, fading_rngs[i], i) if period == 0 else None
                 events.append((t, i, tau[i], size, saving))
     return events, blocks
 

@@ -1,7 +1,8 @@
 """Harness tests: scenario validation, episode determinism, paired
-randomness, the episode against the reference dynamics, the shared task
-timeline and measurement noise against a slot-by-slot replay, experiment
-sweeps, and CSV round-trips."""
+randomness, the episode against the reference dynamics, the raw-stream
+draws against numpy's scalar calls, the shared task timeline and
+measurement noise against a slot-by-slot replay, experiment sweeps, and
+CSV round-trips."""
 
 import dataclasses
 import tempfile
@@ -17,6 +18,7 @@ from dynamics_oracles import (
     replay_noise,
     replay_timeline,
     step_system,
+    task_generator,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,12 +36,12 @@ from edgebandit.config import (
 )
 from edgebandit.harness import (
     RunRecord,
+    _RawDraws,
     _draw_noise,
     _draw_timeline,
     _run_episode_full,
     _size_matrix,
     _stream,
-    _task_generator,
     build_arm_chains,
     build_scenario,
     compute_relaxed_bound,
@@ -284,7 +286,7 @@ def replay_events(c: SimConfig, seed: int, slots) -> list:
     world = StepWorld(
         capacities=caps.tolist(),
         e_savings=[0.0] * n,  # states and events do not depend on the savings
-        gens=[_task_generator(c, int(k)) for k in caps],
+        gens=[task_generator(c, int(k)) for k in caps],
         rngs=[_stream(c.master_seed, seed, 1, i) for i in range(n)],
         penalty=c.penalty_fn(),
         num_servers=c.num_servers,
@@ -446,26 +448,168 @@ POLICY_SIDE = {
 }
 
 
+def scalar_pcg(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+class CountingBits:
+    """A PCG64 that counts how often its raw outputs are read."""
+
+    def __init__(self, seed: int):
+        self.bits = np.random.PCG64(seed)
+        self.reads = 0
+
+    def random_raw(self, size):
+        self.reads += 1
+        return self.bits.random_raw(size)
+
+
+# 0 takes no draw; 2**31 + 7 rejects about half of its 32-bit draws
+RANGES = [0, 1, 9, 2**31 + 7, 2**32 - 2]
+
+
+def one(x: int) -> np.ndarray:
+    return np.array([x], dtype=np.int64)
+
+
+class TestRawDraws:
+    """The raw-stream draws against numpy's scalar calls on PCG64."""
+
+    @given(
+        n=st.integers(1, 4),
+        width=st.sampled_from([1, 2, 3, 64]),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from([None, *RANGES]),  # None: random()
+                st.integers(-3, 3),
+                st.lists(st.booleans(), min_size=4, max_size=4),
+            ),
+            max_size=80,
+        ),
+        seed=st.integers(0, 1000),
+    )
+    @example(n=1, width=1, calls=[(2**31 + 7, 0, [True] * 4)] * 6, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_interleaved_calls_match_generator(self, n, width, calls, seed):
+        gens = [scalar_pcg(seed * 10 + i) for i in range(n)]
+        draws = _RawDraws([np.random.PCG64(seed * 10 + i) for i in range(n)], width=width)
+        for r, lo, mask in calls:
+            users = np.flatnonzero(mask[:n])
+            if r is None:
+                expected = [gens[i].random() for i in users]
+                got = draws.random(users)
+            else:
+                expected = [gens[i].integers(lo, lo + r + 1) for i in users]
+                got = draws.integers(users, np.full(users.size, lo), np.full(users.size, r))
+            assert got.tolist() == expected
+
+    def test_empty_range_takes_nothing(self):
+        draws = _RawDraws([np.random.PCG64(5)])
+        users = one(0)
+        draws.integers(users, one(1), one(9))  # holds the high half
+        pos, half = draws.pos.copy(), draws.half.copy()
+        assert draws.integers(users, one(4), one(0)).tolist() == [4]
+        np.testing.assert_array_equal(draws.pos, pos)
+        np.testing.assert_array_equal(draws.half, half)
+        assert draws.has_half[0]
+
+    def test_high_half_carried_across_calls_and_past_random(self):
+        gen = scalar_pcg(11)
+        first_raw = int(np.random.PCG64(11).random_raw())
+        draws = _RawDraws([np.random.PCG64(11)])
+        users = one(0)
+        assert draws.integers(users, one(1), one(9)).tolist() == [gen.integers(1, 11)]
+        assert draws.random(users).tolist() == [gen.random()]
+        pos = draws.pos.copy()
+        # Lemire on the high half of the first raw, read without a new raw
+        carried = draws.integers(users, one(1), one(9)).tolist()
+        assert carried == [gen.integers(1, 11)] == [1 + ((first_raw >> 32) * 10 >> 32)]
+        np.testing.assert_array_equal(draws.pos, pos)
+        assert not draws.has_half[0]
+        assert draws.integers(users, one(0), one(2**31 + 7)).tolist() == [gen.integers(0, 2**31 + 8)]
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_refill_inside_rejection_run(self, width):
+        """Frequent rejection: a call often needs more than one 32-bit draw,
+        and with one raw per refill its second fresh raw is a refill inside
+        the rejection loop.  The 64-wide buffer runs out several times."""
+        bits = [CountingBits(seed) for seed in range(3)]
+        gens = [scalar_pcg(seed) for seed in range(3)]
+        draws = _RawDraws(bits, width=width)
+        users = np.arange(3)
+        refills_inside = 0
+        for _ in range(300):
+            before = [b.reads for b in bits]
+            got = draws.integers(users, np.zeros(3, dtype=np.int64), np.full(3, 2**31 + 7))
+            assert got.tolist() == [g.integers(0, 2**31 + 8) for g in gens]
+            refills_inside += sum(b.reads - r >= 2 for b, r in zip(bits, before))
+        if width == 1:
+            assert refills_inside > 0
+        else:
+            assert min(b.reads for b in bits) >= 4
+
+    def test_wide_ranges_raise(self):
+        draws = _RawDraws([np.random.PCG64(0)])
+        with pytest.raises(ValueError, match="2\\*\\*32 - 1"):
+            draws.integers(one(0), one(0), one(2**32 - 1))
+
+
 class TestTimeline:
     @given(
         n=st.integers(1, 6),
-        horizon=st.integers(1, 25),
+        horizon=st.integers(1, 100),
         truth=st.sampled_from(["channel", "gaussian", "laplace"]),
         size_rule=st.sampled_from(["uniform", "server-feasible", "offload-window"]),
+        max_size=st.sampled_from([30, 1]),  # 1: every window holds a single size
+        max_duration=st.sampled_from([1, 3, 10]),  # 1: no duration draw
         fading=st.sampled_from([0, 5]),
         arrival_prob=st.sampled_from([0.0, 0.3, 1.0]),
         seed=st.integers(0, 1000),
     )
-    @example(n=3, horizon=1, truth="channel", size_rule="uniform", fading=0, arrival_prob=1.0, seed=0)
-    @example(n=3, horizon=1, truth="gaussian", size_rule="uniform", fading=5, arrival_prob=0.3, seed=0)
+    @example(
+        n=3, horizon=1, truth="channel", size_rule="uniform",
+        max_size=30, max_duration=10, fading=0, arrival_prob=1.0, seed=0,
+    )
+    @example(
+        n=3, horizon=1, truth="gaussian", size_rule="uniform",
+        max_size=30, max_duration=10, fading=5, arrival_prob=0.3, seed=0,
+    )
+    @example(  # D = 1: no duration draw
+        n=4, horizon=40, truth="channel", size_rule="offload-window",
+        max_size=30, max_duration=1, fading=0, arrival_prob=0.3, seed=1,
+    )
+    @example(  # D = 3
+        n=4, horizon=40, truth="laplace", size_rule="server-feasible",
+        max_size=30, max_duration=3, fading=5, arrival_prob=0.3, seed=2,
+    )
+    @example(  # no size draw: the duration draw's high half carries to the next task
+        n=4, horizon=40, truth="channel", size_rule="offload-window",
+        max_size=1, max_duration=3, fading=0, arrival_prob=1.0, seed=3,
+    )
+    @example(  # over 64 raw outputs per user: the buffer is refilled
+        n=5, horizon=100, truth="channel", size_rule="offload-window",
+        max_size=30, max_duration=3, fading=0, arrival_prob=1.0, seed=4,
+    )
+    @example(  # D = 10 at the longest horizon
+        n=5, horizon=100, truth="gaussian", size_rule="uniform",
+        max_size=30, max_duration=10, fading=5, arrival_prob=1.0, seed=5,
+    )
+    @example(
+        n=5, horizon=100, truth="laplace", size_rule="uniform",
+        max_size=30, max_duration=1, fading=5, arrival_prob=1.0, seed=6,
+    )
     @settings(max_examples=60, deadline=None)
-    def test_matches_slot_by_slot_replay(self, n, horizon, truth, size_rule, fading, arrival_prob, seed):
+    def test_matches_slot_by_slot_replay(
+        self, n, horizon, truth, size_rule, max_size, max_duration, fading, arrival_prob, seed
+    ):
         c = cfg(
             num_users=n,
             num_servers=1,
             horizon=horizon,
             energy_truth=truth,
             task_size_rule=size_rule,
+            max_task_size=max_size,
+            max_task_duration=max_duration,
             fading_period_slots=fading,
             arrival_prob=arrival_prob,
         )
