@@ -51,12 +51,14 @@ a one-dimensional cutting-plane search (Kelley 1960).  The tangents at the
 two ends of the bracket give the next subsidy to evaluate, with a
 bisection step when two such steps fail to halve the bracket.  Their
 crossing is also a lower bound on the minimum, so the search stops once
-the least dual value evaluated is within ``REFINE_TOL`` relative of it;
-an end of the bracket whose subgradient already points outward (zero or
-its rounding included) is the minimum itself.  With as many servers as
-arms (M = N) the subsidy term vanishes, and at the left end every arm is
-always active, so the subgradient there is exactly 0: the search returns
-the always-active value with no special case.  The sign bisection this
+the least dual value evaluated is within ``REFINE_TOL`` relative of it,
+with the crossing's own rounding counted against that gap.  With as many
+servers as arms (M = N) the subsidy term vanishes, and at the left end
+every arm is always active, so the subgradient there is exactly 0: the
+search returns the always-active value with no special case.  With no
+server (M = 0) the right end's subgradient is 0 up to rounding, but the
+dual there is a large value minus nearly as much, so the search goes on
+toward where the dual turns flat.  The sign bisection this
 search replaced is kept in ``tests/whittle_oracles.py`` as the reference.
 """
 
@@ -87,6 +89,14 @@ THRESHOLD_TOL = 1e-9
 
 # Relative gap at which the bound's cutting-plane search stops.
 REFINE_TOL = 1e-12
+
+# Each dual value is the arms' value minus slope * delta, and the tangents'
+# crossing adds subgradient * delta terms; both are trusted only to this many
+# ulps of the largest such term at the bracket's ends.  Far from the minimum
+# those terms dwarf a bound near 0, and their rounding alone can pass for a
+# gap below REFINE_TOL.
+_EPS = float(np.finfo(float).eps)
+_CROSSING_ULPS = 8.0
 
 
 # Least table extents: the default task limits (10 slots, 30 subtasks), so
@@ -779,15 +789,19 @@ def relaxed_upper_bound(
     The search is a one-dimensional cutting-plane method (Kelley 1960).  It
     evaluates both ends of a bracket where every arm is always active
     (subgradient ``-slope``) or always passive (``M * S``); a subgradient
-    ``>= 0`` at the left end or ``<= 0`` at the right end (at M = 0 it
-    rounds to either sign of 0) puts the minimum at that end.  Otherwise
+    ``>= 0`` at the left end puts the minimum there.  At M = 0 the right
+    end's subgradient rounds to either sign of 0 and is taken as 0: g is
+    flat there, but computed as ``N * S * width`` minus nearly as much,
+    so the search goes on toward where the flat part starts.  Otherwise
     the next subsidy is where the tangents at the bracket's ends cross,
     kept strictly inside the bracket, and the new point replaces the end
     whose subgradient has its sign.  When two tangent steps in a row fail
     to halve the bracket, a bisection step follows.  No g in the
     bracket lies below the crossing's height on the tangents, so the search
     stops once the least g evaluated is within ``REFINE_TOL * (1 + |g|)``
-    of it: the result is then within that gap of the best bound this
+    of it, after adding a few ulps of the largest term the crossing is
+    computed from (far from the minimum those terms can dwarf a bound near
+    0): the result is then within that gap of the best bound this
     relaxation gives.  It also stops at a zero subgradient (a minimizer)
     and when the bracket can no longer shrink in floating point.  At M = N
     the left end is one: the slope is 0 and every arm is always active
@@ -826,15 +840,24 @@ def relaxed_upper_bound(
         return delta, float(value) - slope * delta, float(passive_time) - slope
 
     lo, hi = dual(-width), dual(width)  # (delta, g, g') at the bracket's ends
+    # every arm is always passive at the right end, where g' is M * S: at
+    # M = 0 it is 0 up to rounding and g is flat from some subsidy on, but
+    # g there is N * S * width minus nearly as much, so the search goes on
+    # toward where the flat part starts
+    hi = (hi[0], hi[1], max(hi[2], 0.0))
     best = min(lo[1], hi[1])
     # tangent steps since the bracket last halved, and its width then
     steps, halved_at = 0, hi[0] - lo[0]
     # a zero subgradient lands in ``lo`` and ends the loop: it is a minimizer
-    while lo[2] < 0.0 < hi[2]:
+    while lo[2] < 0.0 <= hi[2]:
         (d0, g0, s0), (d1, g1, s1) = lo, hi
         kink = (g1 - g0 + s0 * d0 - s1 * d1) / (s0 - s1)
-        # the tangents' crossing is a lower bound on g over the bracket
-        if best - (g0 + s0 * (kink - d0)) <= REFINE_TOL * (1.0 + abs(best)):
+        # the tangents' crossing is a lower bound on g over the bracket, but
+        # only to a few ulps of the largest term it is computed from
+        rounding = _CROSSING_ULPS * _EPS * max(
+            abs(g0) + (slope - s0) * abs(d0), abs(g1) + (slope + s1) * abs(d1)
+        )
+        if best - (g0 + s0 * (kink - d0)) + rounding <= REFINE_TOL * (1.0 + abs(best)):
             break
         tangent = steps < 2 and d0 < kink < d1
         delta = kink if tangent else 0.5 * (d0 + d1)

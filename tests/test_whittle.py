@@ -690,3 +690,41 @@ class TestSearchMatchesBisection:
         bound = relaxed_upper_bound([arm], 0, 0.5)
         self.assert_close(bound, relaxed_upper_bound_reference([arm], 0, 0.5))
         assert bound == pytest.approx(0.0, abs=1e-12)
+
+    def test_crossing_rounding_not_taken_for_convergence(self):
+        # with no arrivals g is 0 at delta = 0 and ~1e4 at the bracket's
+        # ends; the first crossing, rounded at that scale, lands ~4e-14
+        # off 0 where g is ~1.2e-12, and its gap to the rounded crossing
+        # once passed for REFINE_TOL
+        arms = [
+            ArmChain(
+                capacity=1,
+                penalty=PenaltyFn.theory(5.0),
+                arrival_prob=0.0,
+                duration_probs=np.full(3, 1 / 3),
+                size_probs=np.full((3, 8), 0.125),
+                esav_values=np.array([e]),
+            )
+            for e in (0.0, 0.0, 0.14443053977819575)
+        ]
+        bound = relaxed_upper_bound(arms, 1, 0.9375)
+        self.assert_close(bound, relaxed_upper_bound_reference(arms, 1, 0.9375))
+
+    def test_no_server_flat_right_end(self):
+        # at M = 0 the right end's subgradient is exactly 0 here, and g
+        # there is 4160 minus 4160.009..., ~1.3e-12 above g where it turns
+        # flat
+        size_probs = np.array([[1 / 8] * 8, [1 / 8] * 8, [2 / 15] * 7 + [1 / 15]])
+        arms = [
+            ArmChain(
+                capacity=1,
+                penalty=PenaltyFn.theory(alpha),
+                arrival_prob=2.0**-14,
+                duration_probs=np.array([0.25, 0.25, 0.5]),
+                size_probs=size_probs,
+                esav_values=np.array([0.0]),
+            )
+            for alpha in (0.0, 0.5)
+        ]
+        bound = relaxed_upper_bound(arms, 0, 0.96875)
+        self.assert_close(bound, relaxed_upper_bound_reference(arms, 0, 0.96875))
