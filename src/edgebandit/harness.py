@@ -23,12 +23,10 @@ cells of one seed that differ only in policy-side fields (policy,
 estimator, servers, penalty, discount, learner settings) share them;
 :func:`run_experiment` runs its episodes seed by seed for that reason.
 
-Only two computations here need scipy: the prior-swapping learner's
-Metropolis-Hastings target (``gammaln``) and the relaxed bound's saving
-quantiles under gaussian truth (``norm.ppf``).  Each imports it where it
-is used, and :func:`run_experiment` imports ``multiprocessing`` only to
-run more than one job, so importing the package loads numpy and its own
-modules only.
+Only the relaxed bound's saving quantiles under gaussian truth need scipy
+(``norm.ppf``, imported where used), and :func:`run_experiment` imports
+``multiprocessing`` only to run more than one job, so importing the
+package loads numpy and its own modules only.
 """
 
 from __future__ import annotations
@@ -478,54 +476,63 @@ class _PsblBatch:
     learner's arrays.  Chains are independent across users, so one
     vectorised sweep per slot is exact; proposals come from the shared
     policy stream.  Steps are independent Gaussians on (saving, log
-    variance), a symmetric proposal, so the acceptance ratio is the target
-    ratio alone, with the log-variance Jacobian folded into the target.
-    Rejection keeps the previous state.
+    variance), a symmetric proposal, so MH reads only the difference of
+    one user's target at two points of a slot; rejection keeps the state.
+    Each user's constants drop from the target (the normalisers of the
+    conjugate posterior and both priors), leaving, with the log-variance
+    Jacobian, t(s, v) = k(s) - nu v - S(s) exp(-v): k the true prior's log
+    kernel, S(s) = phi0 + ss + n (s - xbar)^2 / 2 (ss = m2 / 2, or m2 under
+    the paper variant) = lam (s - mu)^2 / 2 + phi - lam0 (s - mu0)^2 / 2 >= phi0.
     """
 
     def __init__(self, learner: PriorSwapWhittleEstimator):
-        from scipy.special import gammaln
-
         self.learner = learner
-        self._gammaln = gammaln
 
-    def _target(self, lam, mu, phi, nu):
-        """Log target at (saving, log variance): the swapped density, whose
-        shared inverse-gamma variance prior cancels, plus the Jacobian.  The
-        posterior is fixed within a slot, so its constants are folded once."""
-        fp = self.learner.false_prior
-        const = 0.5 * (np.log(lam) - math.log(fp.lam)) + nu * np.log(phi) - self._gammaln(nu)
-        half_lam, half_fp_lam = 0.5 * lam, 0.5 * fp.lam
-        true_logpdf = self.learner.true_prior.logpdf
+    def _scale(self):
+        """S(s) for every user, from the statistics as they are now."""
+        ps = self.learner
+        base = ps.false_prior.phi + (0.5 * ps.m2 if ps.variant == "textbook" else ps.m2)
+        half_n, xbar = 0.5 * ps.count, ps.mean
+        return lambda sav: base + half_n * (sav - xbar) ** 2
+
+    def _target(self, nu):
+        """The log target at (saving, log variance) for posterior shape ``nu``."""
+        prior, scale = self.learner.true_prior, self._scale()
 
         def target(sav, logvar):
-            scale = half_lam * (sav - mu) ** 2 + phi - half_fp_lam * (sav - fp.mu) ** 2
-            return const - nu * logvar - scale * np.exp(-logvar) + true_logpdf(sav)
+            d = sav - prior.location
+            kernel = np.abs(d) / -prior.scale if prior.kind == "laplace" else d * d / (-2.0 * prior.scale)
+            return kernel - nu * logvar - scale(sav) * np.exp(-logvar)
 
         return target
 
     def refresh(self, rng: np.random.Generator) -> np.ndarray:
         ps = self.learner
-        lam, mu, phi, nu = ps.posterior()
-        target = self._target(lam, mu, phi, nu)
-        n = lam.size
+        lam, _, phi, nu = ps.posterior()
+        target = self._target(nu)
+        steps, n = ps.burn_in + ps.chain_len, lam.size
         # proposal scales of (saving, log variance), one row each like the state
         pf = ps.proposal_factor
         scales = np.stack((pf * np.sqrt(phi / (lam * nu)), pf / np.sqrt(nu)))
+        # each step draws every saving proposal, then every log-variance one, then every uniform
+        jumps, log_u = np.empty((steps, 2, n)), np.empty((steps, n))
+        for step in range(steps):
+            rng.standard_normal(out=jumps[step])
+            rng.random(out=log_u[step])
+        jumps *= scales
+        np.log(log_u, out=log_u)
 
         state = ps.chain
         cur = target(*state)
         total = np.zeros(n)
-        for step in range(ps.burn_in + ps.chain_len):
-            # one call draws every saving proposal, then every log-variance one
-            prop = state + scales * rng.standard_normal((2, n))
+        for step in range(steps):
+            prop = state + jumps[step]
             cand = target(*prop)
-            accept = np.log(rng.random(n)) < cand - cur
-            state = np.where(accept, prop, state)
-            cur = np.where(accept, cand, cur)
+            accept = log_u[step] < cand - cur
+            np.copyto(state, prop, where=accept)
+            np.copyto(cur, cand, where=accept)
             if step >= ps.burn_in:
                 total += state[0]
-        ps.chain = state
         ps.chain_mean = total / ps.chain_len
         return ps.chain_mean
 

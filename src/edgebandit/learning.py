@@ -12,7 +12,9 @@ a decision.
 
 Observation model: each offload yields saving + Gaussian noise.  A user's
 statistics (and chain state) reset whenever the channel block (and hence
-the true saving) changes.
+the true saving) changes.  Prior swapping's MH kernel
+(``harness._PsblBatch``) needs no normalised density, so no learner
+imports scipy.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "PriorSwapWhittleEstimator",
 ]
 
-LOG_2PI = math.log(2.0 * math.pi)
 NIG_VARIANTS = ("textbook", "paper")
 
 
@@ -121,10 +122,6 @@ def nig_sample(post: NIGParams, rng: np.random.Generator) -> tuple[float, float]
     return variance, saving
 
 
-def _normal_logpdf(x, mean, var):
-    return -0.5 * (LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
-
-
 @dataclass(frozen=True)
 class PriorSpec:
     """Marginal prior over the energy saving.
@@ -145,11 +142,6 @@ class PriorSpec:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
-
-    def logpdf(self, saving) -> np.ndarray:
-        if self.kind == "gaussian":
-            return _normal_logpdf(saving, self.location, self.scale)
-        return -np.abs(np.asarray(saving) - self.location) / self.scale - math.log(2.0 * self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +263,9 @@ class PriorSwapWhittleEstimator(_UserStats):
     swapped density, as the two rows of ``chain``.  The harness's MH
     kernel advances every chain by ``burn_in + chain_len`` steps per
     decision and leaves the mean of the last ``chain_len`` saving
-    components in ``chain_mean``, which is the estimate.  Per-decision
-    cost depends only on the chain length, never on the number of
-    observations.
+    components in ``chain_mean``, the estimate (the initial saving for a
+    user reset since the last refresh).  Per-decision cost depends only on
+    the chain length, never on the number of observations.
     """
 
     def __init__(
@@ -304,15 +296,15 @@ class PriorSwapWhittleEstimator(_UserStats):
         self.init_theta = init_theta
         # every user's chain state: row 0 the saving, row 1 the log variance
         self.chain = np.empty((2, num_users))
-        self.chain[0] = init_theta[0]
-        self.chain[1] = math.log(init_theta[1])
-        self.chain_mean = np.full(num_users, float(init_theta[0]))
+        self.chain_mean = np.empty(num_users)
+        self.reset()
 
     def reset(self, users: Optional[np.ndarray] = None) -> None:
         super().reset(users)
         at = slice(None) if users is None else users
         self.chain_saving[at] = self.init_theta[0]
         self.chain_logvar[at] = math.log(self.init_theta[1])
+        self.chain_mean[at] = self.init_theta[0]
 
     @property
     def chain_saving(self) -> np.ndarray:

@@ -73,6 +73,14 @@ def _normal_logpdf(x, mean, var):
     return -0.5 * (LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
 
 
+def true_prior_logpdf(saving: float, prior: PriorSpec) -> float:
+    """Normalised log density of the true saving prior (gaussian: location
+    and variance; laplace: location and diversity)."""
+    if prior.kind == "gaussian":
+        return float(_normal_logpdf(saving, prior.location, prior.scale))
+    return -abs(saving - prior.location) / prior.scale - math.log(2.0 * prior.scale)
+
+
 def nig_logpdf(saving: float, variance: float, params: NIGParams) -> float:
     """Log density of the normal-inverse-gamma at (saving, variance)."""
     if variance <= 0:
@@ -100,7 +108,7 @@ def prior_swap_logdensity(
     else:
         # shared inverse-gamma variance prior cancels; only the saving
         # marginals differ between the true and false priors
-        out += float(true_prior.logpdf(saving))
+        out += true_prior_logpdf(saving, true_prior)
         out -= float(_normal_logpdf(saving, false_prior.mu, variance / false_prior.lam))
     return out
 

@@ -5,7 +5,9 @@ preset's records.  A change that alters any digest changes what the
 simulator reports, and must say so.  Small cases run every preset at
 N=8, M=3, T=12 for seeds 0 and 1; bound cases are small cases with the
 relaxed upper bound in every record, down to its last bit; full cases run
-fig6 and fig8 at the paper size for seed 0.  The relaxed bound is also
+fig6 and fig8 at the paper size for seed 0; one more small case runs
+fig8's prior-swapping cell off its preset, through the MH kernel's
+gaussian-truth and paper-variant paths.  The relaxed bound is also
 pinned on its own at the paper size, where a group of arms sharing a
 capacity holds dozens of arms; there the dual search's evaluations are
 also counted against the sign bisection it replaced.  The index-vs-oracle
@@ -49,19 +51,41 @@ BOUNDS = {
     ("fig3a", 0, -1): "-772.7812440281746",  # the N=60 cell
 }
 
+# fig8's psbl-wi cell at the small size off its preset: gaussian truth, the
+# paper variant, burn-in, a narrower proposal and per-arrival resets
+PSBL_OFF_PRESET = {
+    **SMALL,
+    "energy_truth": "gaussian",
+    "nig_variant": "paper",
+    "mh_burn_in": 2,
+    "mh_proposal_factor": 0.5,
+    "fading_period_slots": 0,
+}
+PSBL_OFF_PRESET_DIGEST = "b841b617561ea5705a4ea3617bf072a64b2e66199e9a2ca3544984485ee2f617"
+
 # verify-index --penalty experiment --alpha 5 --capacity 2 --e-saving -1
 VERIFY_INDEX_DIGEST = "cdea1a301f4d1af45f11c562478f3818dadbe56a44824c2b7742b472de3616ac"
+
+
+def csv_digest(cells, seeds, path, compute_bound=False) -> str:
+    result = run_experiment(cells, seeds, compute_bound=compute_bound)
+    assert result.ok, result.failures
+    emit_csv(result.records, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("preset,size", list(DIGESTS), ids=[f"{p}-{s}" for p, s in DIGESTS])
 def test_csv_digest(preset, size, tmp_path):
     overrides, seeds = ({}, [0]) if size == "full" else (SMALL, [0, 1])
     cells = [ExperimentCell(c.name, apply_overrides(c.config, overrides)) for c in preset_cells(preset)]
-    result = run_experiment(cells, seeds, compute_bound=size == "bound")
-    assert result.ok, result.failures
-    path = tmp_path / "out.csv"
-    emit_csv(result.records, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[preset, size]
+    digest = csv_digest(cells, seeds, tmp_path / "out.csv", compute_bound=size == "bound")
+    assert digest == DIGESTS[preset, size]
+
+
+def test_psbl_off_preset_digest(tmp_path):
+    cell = preset_cells("fig8", policy_filter="psbl-wi")[0]
+    cells = [ExperimentCell(cell.name, apply_overrides(cell.config, PSBL_OFF_PRESET))]
+    assert csv_digest(cells, [0, 1], tmp_path / "out.csv") == PSBL_OFF_PRESET_DIGEST
 
 
 def test_verify_index_digest(tmp_path):

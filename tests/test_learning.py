@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from learning_oracles import (
     ObservationLog,
@@ -384,20 +384,56 @@ class TestPriorSwapDensity:
     @pytest.mark.parametrize("true_prior", [LAPLACE, PriorSpec("gaussian", 0.5, 0.3)])
     @pytest.mark.parametrize("variant", ["textbook", "paper"])
     def test_kernel_target_matches_reference(self, true_prior, variant):
+        # MH reads only differences of one user's target within a slot, and
+        # the kernel drops each user's constants: pin its difference to a
+        # fixed point against the reference's
         false_prior = NIGParams(1.5, 0.8, 2.0, 1.2)
         learner = PriorSwapWhittleEstimator(3, true_prior, false_prior=false_prior, variant=variant)
         logs = [log_of(), log_of(1.2, 0.8, 1.5), log_of(-0.4)]
         for i, log in enumerate(logs):
             fed(learner, log.samples, user=i)
-        target = _PsblBatch(learner)._target(*learner.posterior())
+        target = _PsblBatch(learner)._target(learner.posterior()[3])
+        posts = [nig_update(false_prior, log, variant) for log in logs]
+
+        def reference(i, sav, lv):
+            return prior_swap_logdensity((sav, math.exp(lv)), posts[i], false_prior, true_prior) + lv
+
+        fixed = (0.9, 0.2)
+        at_fixed = target(np.full(3, fixed[0]), np.full(3, fixed[1]))
         r = rng(16)
         for _ in range(20):
             sav, lv = r.normal(1.0, 1.5, 3), r.normal(0.0, 1.5, 3)
-            got = target(sav, lv)
-            for i, log in enumerate(logs):
-                post = nig_update(false_prior, log, variant)
-                want = prior_swap_logdensity((sav[i], math.exp(lv[i])), post, false_prior, true_prior) + lv[i]
-                assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            got = target(sav, lv) - at_fixed
+            for i in range(3):
+                want, want_fixed = reference(i, sav[i], lv[i]), reference(i, *fixed)
+                assert abs(got[i] - (want - want_fixed)) <= 1e-12 * max(abs(want), abs(want_fixed))
+
+    @given(
+        variant=st.sampled_from(["textbook", "paper"]),
+        obs=st.lists(st.floats(-3.0, 3.0), max_size=6),
+        sav=st.floats(-5.0, 5.0),
+        false_prior=st.builds(
+            NIGParams,
+            lam=st.floats(0.1, 5.0),
+            mu=st.floats(-2.0, 2.0),
+            phi=st.floats(0.1, 5.0),
+            nu=st.floats(0.5, 5.0),
+        ),
+    )
+    @example(variant="textbook", obs=[], sav=3.0, false_prior=NIGParams(1.5, 0.8, 2.0, 1.2))
+    @example(variant="paper", obs=[], sav=-4.0, false_prior=NIGParams(1.5, 0.8, 2.0, 1.2))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_scale_is_the_expanded_form(self, variant, obs, sav, false_prior):
+        # S(s) = lam (s - mu)^2 / 2 + phi - lam0 (s - mu0)^2 / 2 from the
+        # conjugate posterior; the expanded form cancels, so its own rounding
+        # is relative to its largest term
+        learner = PriorSwapWhittleEstimator(1, LAPLACE, false_prior=false_prior, variant=variant)
+        fed(learner, obs)
+        got = _PsblBatch(learner)._scale()(np.array([sav]))[0]
+        lam, mu, phi, _ = (float(x[0]) for x in learner.posterior())
+        terms = (0.5 * lam * (sav - mu) ** 2, phi, 0.5 * false_prior.lam * (sav - false_prior.mu) ** 2)
+        assert got >= false_prior.phi
+        assert abs(got - (terms[0] + terms[1] - terms[2])) <= 1e-12 * max(terms)
 
 
 class TestMhKernel:
@@ -567,6 +603,12 @@ class TestEstimators:
         learner.reset(np.array([1]))
         assert learner.count.tolist() == [2, 0]
         assert learner.chain_saving[1] == 0.5 and learner.chain_logvar[1] == math.log(2.0)
+
+    def test_prior_swap_reset_restarts_estimate(self):
+        learner = fed(PriorSwapWhittleEstimator(2, LAPLACE, init_theta=(0.5, 2.0)), (1.6, 1.7))
+        kept = _PsblBatch(learner).refresh(rng(18))[1]
+        learner.reset(np.array([0]))
+        assert learner.estimate().tolist() == [0.5, kept]
 
     def test_prior_swap_estimator_tracks_truth(self):
         learner = PriorSwapWhittleEstimator(1, LAPLACE, chain_len=200)

@@ -2,8 +2,9 @@
 run first needs them.
 
 ``import edgebandit`` loads numpy and the package's own modules; scipy
-arrives with the prior-swapping learner (``gammaln``) or a gaussian-truth
-bound, and ``multiprocessing`` with a sweep of more than one job.
+arrives only with a gaussian-truth bound (``norm.ppf``), and
+``multiprocessing`` with a sweep of more than one job.  The learners,
+prior swapping's Metropolis-Hastings kernel included, load no scipy.
 The checks run in a subprocess, since this test process may already
 hold either.
 """
@@ -42,6 +43,9 @@ psbl = next(c.config for c in config.preset_cells("fig8") if c.config.estimator 
 psbl = config.apply_overrides(psbl, smoke)
 harness.run_episode(psbl, 0)
 note("fig8 psbl episode")
+fig7 = config.apply_overrides(config.preset_cells("fig7")[0].config, smoke)
+harness.compute_relaxed_bound(fig7, 0)
+note("gaussian-truth bound")
 print(json.dumps(loaded))
 """
 
@@ -55,7 +59,7 @@ def test_scipy_and_pool_load_only_where_needed():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    for stage in ("import", "fig6 wi episode", "relaxed bound", "run_experiment jobs=1"):
+    for stage in ("import", "fig6 wi episode", "relaxed bound", "run_experiment jobs=1", "fig8 psbl episode"):
         assert loaded[stage]["scipy"] == [], stage
     assert loaded["run_experiment jobs=1"]["multiprocessing"] == []
-    assert "scipy.special" in loaded["fig8 psbl episode"]["scipy"]
+    assert "scipy.stats" in loaded["gaussian-truth bound"]["scipy"]
