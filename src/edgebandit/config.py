@@ -95,9 +95,10 @@ class SimConfig:
     # when set and an estimator is active, each episode dumps
     # slot,user,estimate,true_saving rows to this path ({seed} expands)
     estimate_trace_path: str = ""
-    # per-task saving quantile samples for the bound; truncating the
-    # deep-fade tail only loosens the bound (safe direction), and 16
-    # samples sit within ~0.03% of the 128-sample value
+    # per-task saving quantile samples for the bound.  On seed 0 the bound
+    # at 16 against 128 is 0.029% (fig6) and 0.026% (fig3a) above under
+    # channel truth, but 0.60% (fig7, gaussian) and 1.04% (fig8, laplace)
+    # below, the unsafe side (ROADMAP item 3)
     bound_esav_samples: int = 16
 
     def penalty_fn(self) -> PenaltyFn:
@@ -145,8 +146,9 @@ class SimConfig:
             errs.append("slot_length must be > 0")
         if self.fading_period_slots < 0:
             errs.append("fading_period_slots must be >= 0")
-        if self.energy_truth in ("gaussian", "laplace") and self.truth_spread <= 0:
-            errs.append("truth_spread must be > 0 under gaussian or laplace truth")
+        # psbl reads it as its true prior's scale under every truth
+        if (self.energy_truth in ("gaussian", "laplace") or self.estimator == "psbl") and self.truth_spread <= 0:
+            errs.append("truth_spread must be > 0 under gaussian or laplace truth or the psbl estimator")
         if self.mh_samples < 1:
             errs.append("mh_samples must be >= 1")
         if self.mh_burn_in < 0:

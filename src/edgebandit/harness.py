@@ -18,15 +18,13 @@ streams are read raw: every user's arrival checks, durations and sizes are
 drawn in lockstep from its PCG64 outputs, which reproduce numpy's scalar
 ``random()`` and ``integers()`` calls bit for bit, and each user's savings
 take one vector call on its fading stream.  The last
-user profiles drawn are kept with their timeline and noise, so the
+scenario drawn is kept with its timeline and noise, so the
 cells of one seed that differ only in policy-side fields (policy,
 estimator, servers, penalty, discount, learner settings) share them;
 :func:`run_experiment` runs its episodes seed by seed for that reason.
 
-Only the relaxed bound's saving quantiles under gaussian truth need scipy
-(``norm.ppf``, imported where used), and :func:`run_experiment` imports
-``multiprocessing`` only to run more than one job, so importing the
-package loads numpy and its own modules only.
+:func:`run_experiment` imports ``multiprocessing`` only to run more than
+one job, so importing the package loads numpy and its own modules only.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -98,13 +97,16 @@ class EpisodeInfo:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Per-seed static world: user profiles and derived constants."""
+    """Per-seed static world: the channel environment and read-only
+    per-user arrays drawn from the scenario stream."""
 
-    profiles: tuple[mec.UserProfile, ...]
     env: mec.ChannelEnvironment
     capacities: np.ndarray
     e_locals: np.ndarray
     noise_vars: np.ndarray
+    path_ratios: np.ndarray  # (ref_distance / distance) ** pathloss_exp
+    tx_powers: np.ndarray  # watts
+    subtask_bits: np.ndarray
 
 
 def _stream(master_seed: int, seed: int, *key: int) -> np.random.Generator:
@@ -112,13 +114,15 @@ def _stream(master_seed: int, seed: int, *key: int) -> np.random.Generator:
 
 
 def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
-    """Draw user profiles for one run and validate the whole configuration.
+    """Draw the users of one run and validate the whole configuration.
 
     Every validation failure is collected so the error lists all problems
     at once, before any slot executes.  An invalid channel environment
     ends the checks there, because the per-user checks compute with it.
+    Under channel truth every valid user's transmit time at unit fading
+    must fit in the slot.
 
-    The profiles read only the fields of the timeline's key, so the last
+    The users read only the fields of the timeline's key, so the last
     scenario that validated is kept, with read-only arrays, and returned
     again for a config with the same key once the config's own checks,
     which cover the policy-side fields too, pass.
@@ -140,11 +144,10 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
     except ValueError as exc:
         raise ConfigError("; ".join([*errors, str(exc)])) from exc
 
-    profiles = []
-    capacities = np.zeros(cfg.num_users, dtype=np.int64)
-    e_locals = np.zeros(cfg.num_users)
-    noise_vars = np.zeros(cfg.num_users)
-    for i in range(cfg.num_users):
+    n = cfg.num_users
+    capacities = np.zeros(n, dtype=np.int64)
+    e_locals, noise_vars, path_ratios, tx_powers, subtask_bits = np.zeros((5, n))
+    for i in range(n):
         distance = rng.uniform(cfg.distance_low, cfg.distance_high)
         tx_dbm = rng.uniform(cfg.tx_power_low_dbm, cfg.tx_power_high_dbm)
         cpu = cfg.cpu_freq_choices[rng.integers(len(cfg.cpu_freq_choices))]
@@ -161,45 +164,62 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
             distance=distance,
             power_coeff=cfg.power_coeff,
         )
-        profiles.append(profile)
         try:
             profile.validate(ref_distance=cfg.ref_distance)
-        except ValueError as exc:
-            errors.append(str(exc))
-            continue
-        try:
             capacities[i] = mec.offload_capacity(profile, env)
         except ValueError as exc:
             errors.append(str(exc))
             continue
         e_locals[i] = mec.local_energy_per_subtask(profile, cfg.energy_model)
-        if cfg.energy_truth == "channel":
-            # transmit time at unit fading must fit in the slot
-            gain = mec.channel_gain(env, distance)
-            rate = mec.transmission_rate(profile, gain, env)
-            if rate <= 0:
-                errors.append(f"user {i}: zero-rate channel at unit fading")
-            else:
-                tx_time = mec.offload_energy(profile, rate, int(capacities[i])).tx_time
-                if tx_time > cfg.slot_length:
-                    errors.append(
-                        f"user {i}: nominal transmit time {tx_time:.3g}s exceeds "
-                        f"slot length {cfg.slot_length:.3g}s"
-                    )
+        path_ratios[i] = (env.ref_distance / distance) ** env.pathloss_exp
+        tx_powers[i] = profile.tx_power
+        subtask_bits[i] = bits
+    for arr in (capacities, e_locals, noise_vars, path_ratios, tx_powers, subtask_bits):
+        arr.flags.writeable = False
+    scn = Scenario(env, capacities, e_locals, noise_vars, path_ratios, tx_powers, subtask_bits)
+    if cfg.energy_truth == "channel":
+        errors += _unit_fading_errors(cfg, scn, np.flatnonzero(capacities))  # the valid users
     if errors:
         raise ConfigError("; ".join(errors))
-    for arr in (capacities, e_locals, noise_vars):
-        arr.flags.writeable = False
-    scn = Scenario(
-        profiles=tuple(profiles),
-        env=env,
-        capacities=capacities,
-        e_locals=e_locals,
-        noise_vars=noise_vars,
-    )
     _last_drawn.clear()
     _last_drawn[key] = _Drawn(scn)
     return scn
+
+
+def _offload(
+    cfg: SimConfig, scn: Scenario, users: np.ndarray, fading: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The saving and transmit time of one offload by each listed user at
+    the fading power gain beside it, as two arrays.
+
+    The one channel-saving formula of the package outside mec's scalar
+    functions, with their float operations in their order and ``math.log2``
+    per value, where ``np.log2`` can differ in the last bit.  Raises
+    ValueError on a zero-rate channel.
+    """
+    env, cap, tx_power = scn.env, scn.capacities[users], scn.tx_powers[users]
+    gain = fading * env.pathloss_const * scn.path_ratios[users]
+    snr = 1.0 + tx_power * gain / (env.noise_density * cfg.bandwidth)
+    rate = cfg.bandwidth * np.fromiter(map(math.log2, snr.tolist()), dtype=np.float64, count=snr.size)
+    if (rate <= 0).any():
+        raise ValueError("zero-rate channel")
+    tx_time = cap * scn.subtask_bits[users] / rate
+    return cap * scn.e_locals[users] - tx_time * tx_power, tx_time
+
+
+def _unit_fading_errors(cfg: SimConfig, scn: Scenario, users: np.ndarray) -> list[str]:
+    """Each listed user's transmit time at unit fading must fit in the slot."""
+    try:
+        _, tx_time = _offload(cfg, scn, users, np.ones(users.size))
+    except ValueError:  # some rate is zero: find whose, one user at a time
+        if users.size == 1:
+            return [f"user {users[0]}: zero-rate channel at unit fading"]
+        return [e for i in users for e in _unit_fading_errors(cfg, scn, np.array([i]))]
+    return [
+        f"user {i}: nominal transmit time {t:.3g}s exceeds slot length {cfg.slot_length:.3g}s"
+        for i, t in zip(users.tolist(), tx_time.tolist())
+        if t > cfg.slot_length
+    ]
 
 
 def _true_prior_spec(cfg: SimConfig) -> PriorSpec:
@@ -316,10 +336,8 @@ def _draw_savings(cfg: SimConfig, scn: Scenario, seed: int, counts: np.ndarray) 
     """The first ``counts[i]`` true savings of each user i's fading stream,
     concatenated user by user.
 
-    One vector call per user returns the values of as many scalar calls.
-    The channel saving runs mec's float operations in mec's order, on
-    per-user constants and with ``math.log2`` per value, where ``np.log2``
-    can differ in the last bit.
+    One vector call per user returns the values of as many scalar calls;
+    a channel saving is :func:`_offload` at the drawn fading.
     """
     draws = []
     for i, k in enumerate(counts.tolist()):
@@ -334,26 +352,7 @@ def _draw_savings(cfg: SimConfig, scn: Scenario, seed: int, counts: np.ndarray) 
     values = np.concatenate(draws) if draws else np.empty(0)
     if cfg.energy_truth != "channel":
         return values
-    env = scn.env
-    consts = np.array(
-        [
-            (
-                (env.ref_distance / p.distance) ** env.pathloss_exp,
-                p.tx_power,
-                env.noise_density * p.bandwidth,
-                p.bandwidth,
-                k * p.subtask_bits,
-                k * e_local,
-            )
-            for p, k, e_local in zip(scn.profiles, scn.capacities.tolist(), scn.e_locals.tolist())
-        ]
-    )
-    path, tx_power, noise_power, bandwidth, bits, e_local = consts.repeat(counts, axis=0).T
-    snr = 1.0 + tx_power * (values * env.pathloss_const * path) / noise_power
-    rate = bandwidth * np.fromiter(map(math.log2, snr.tolist()), dtype=np.float64, count=snr.size)
-    if (rate <= 0).any():
-        raise ValueError("zero-rate channel")
-    return e_local - bits / rate * tx_power
+    return _offload(cfg, scn, np.arange(cfg.num_users).repeat(counts), values)[0]
 
 
 def _draw_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> _Timeline:
@@ -702,25 +701,20 @@ def run_episode(cfg: SimConfig, seed: int) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _esav_quantile_samples(cfg: SimConfig, scn: Scenario, i: int) -> np.ndarray:
-    """Equiprobable per-task saving values for the bound's arm chain."""
-    n_q = cfg.bound_esav_samples
+def _esav_quantile_samples(cfg: SimConfig, scn: Scenario) -> np.ndarray:
+    """Every user's equiprobable per-task saving values for the bound's arm
+    chains, as an (N, K) array: the savings at the K midpoint quantiles."""
+    n, n_q = cfg.num_users, cfg.bound_esav_samples
     q = (np.arange(n_q) + 0.5) / n_q
     if cfg.energy_truth == "channel":
-        kappa = -np.log1p(-q)
-        profile = scn.profiles[i]
-        base_gain = mec.channel_gain(scn.env, profile.distance)
-        noise_power = scn.env.noise_density * profile.bandwidth
-        rate = profile.bandwidth * np.log2(1.0 + profile.tx_power * kappa * base_gain / noise_power)
-        cap = int(scn.capacities[i])
-        e_off = cap * profile.subtask_bits / rate * profile.tx_power
-        return cap * float(scn.e_locals[i]) - e_off
+        kappa = -np.log1p(-q)  # unit-mean exponential fading
+        return _offload(cfg, scn, np.arange(n).repeat(n_q), np.tile(kappa, n))[0].reshape(n, n_q)
     if cfg.energy_truth == "gaussian":
-        from scipy.stats import norm
-
-        return norm.ppf(q, loc=cfg.truth_location, scale=math.sqrt(cfg.truth_spread))
-    # laplace quantile function
-    return cfg.truth_location - cfg.truth_spread * np.sign(q - 0.5) * np.log1p(-2.0 * np.abs(q - 0.5))
+        inv_cdf = NormalDist(cfg.truth_location, math.sqrt(cfg.truth_spread)).inv_cdf
+        values = np.array([inv_cdf(p) for p in q.tolist()])
+    else:  # laplace quantile function
+        values = cfg.truth_location - cfg.truth_spread * np.sign(q - 0.5) * np.log1p(-2.0 * np.abs(q - 0.5))
+    return np.broadcast_to(values, (n, n_q))
 
 
 def _size_matrix(cfg: SimConfig, capacity: int) -> np.ndarray:
@@ -739,6 +733,7 @@ def build_arm_chains(cfg: SimConfig, seed: int) -> list[ArmChain]:
     shared by the arms that have them.
     """
     scn = build_scenario(cfg, seed)
+    esav = _esav_quantile_samples(cfg, scn)
     penalty = cfg.penalty_fn()
     dur = np.full(cfg.max_task_duration, 1.0 / cfg.max_task_duration)
     sizes = {k: _size_matrix(cfg, k) for k in np.unique(scn.capacities).tolist()}
@@ -751,7 +746,7 @@ def build_arm_chains(cfg: SimConfig, seed: int) -> list[ArmChain]:
             arrival_prob=cfg.arrival_prob,
             duration_probs=dur,
             size_probs=sizes[int(scn.capacities[i])],
-            esav_values=_esav_quantile_samples(cfg, scn, i),
+            esav_values=esav[i],
         )
         for i in range(cfg.num_users)
     ]

@@ -13,8 +13,7 @@ a decision.
 Observation model: each offload yields saving + Gaussian noise.  A user's
 statistics (and chain state) reset whenever the channel block (and hence
 the true saving) changes.  Prior swapping's MH kernel
-(``harness._PsblBatch``) needs no normalised density, so no learner
-imports scipy.
+(``harness._PsblBatch``) needs no normalised density.
 """
 
 from __future__ import annotations

@@ -571,8 +571,10 @@ def indexability_check(arm, subsidy_grid: Sequence[float]) -> IndexabilityReport
 class ArmChain:
     """Single-arm chain with task arrivals, used for the relaxed bound.
 
-    ``esav_values`` are equiprobable samples of the per-task energy saving
-    (one is drawn fresh at each arrival, matching block fading).
+    ``esav_values`` are equiprobable samples of the per-task energy saving,
+    one drawn at each arrival and held to the deadline.  Under block fading
+    (``fading_period_slots > 0``) the simulated saving also changes within
+    a task; this per-task model is not shown to bound that system.
     ``duration_probs[d-1]`` is the arrival distribution over 1..D slots and
     ``size_probs[d-1, s-1]`` the size distribution conditional on duration d.
     """

@@ -10,7 +10,9 @@ action-independent draws, which the harness now makes once per (scenario,
 seed).
 :func:`task_generator` and :func:`draw_saving` are the per-user, per-call
 draws that the replay makes and that the harness now reproduces from the
-raw streams.
+raw streams.  :func:`draw_profiles` is the scenario stream drawn call by
+call into one ``mec.UserProfile`` per user, which the harness now keeps
+as per-user arrays.
 """
 
 from __future__ import annotations
@@ -200,15 +202,50 @@ def task_generator(cfg: SimConfig, capacity: int) -> TaskGenerator:
     )
 
 
-def draw_saving(cfg: SimConfig, scn: Scenario, rng: np.random.Generator, i: int) -> float:
-    """One draw of user ``i``'s true per-block energy saving from its fading stream."""
+def draw_profiles(cfg: SimConfig, seed: int) -> tuple[list[mec.UserProfile], list[float]]:
+    """Every user's profile and measurement-noise variance, drawn call by
+    call from the scenario stream in the harness's order."""
+    rng = _stream(cfg.master_seed, seed, 0)
+    profiles, noise_vars = [], []
+    for i in range(cfg.num_users):
+        distance = rng.uniform(cfg.distance_low, cfg.distance_high)
+        tx_dbm = rng.uniform(cfg.tx_power_low_dbm, cfg.tx_power_high_dbm)
+        cpu = cfg.cpu_freq_choices[rng.integers(len(cfg.cpu_freq_choices))]
+        cycles = cfg.cycles_per_bit_choices[rng.integers(len(cfg.cycles_per_bit_choices))]
+        bits = cfg.subtask_bits_choices[rng.integers(len(cfg.subtask_bits_choices))]
+        noise_vars.append(rng.uniform(cfg.noise_var_low, cfg.noise_var_high))
+        profiles.append(
+            mec.UserProfile(
+                user_id=i,
+                cpu_freq=cpu,
+                cycles_per_bit=cycles,
+                subtask_bits=bits,
+                tx_power=mec.dbm_to_watts(tx_dbm),
+                bandwidth=cfg.bandwidth,
+                distance=distance,
+                power_coeff=cfg.power_coeff,
+            )
+        )
+    return profiles, noise_vars
+
+
+def channel_saving(
+    cfg: SimConfig, env: mec.ChannelEnvironment, profile: mec.UserProfile, fading: float
+) -> float:
+    """The user's saving for one offload at the given fading, through mec's scalar chain."""
+    capacity = mec.offload_capacity(profile, env)
+    gain = mec.channel_gain(env, profile.distance, fading)
+    rate = mec.transmission_rate(profile, gain, env)
+    e_off = mec.offload_energy(profile, rate, capacity).energy
+    return mec.energy_saving(mec.local_energy_per_subtask(profile, cfg.energy_model), e_off, capacity)
+
+
+def draw_saving(
+    cfg: SimConfig, env: mec.ChannelEnvironment, profile: mec.UserProfile, rng: np.random.Generator
+) -> float:
+    """One draw of a user's true per-block energy saving from its fading stream."""
     if cfg.energy_truth == "channel":
-        kappa = rng.exponential(1.0)
-        profile = scn.profiles[i]
-        gain = mec.channel_gain(scn.env, profile.distance, kappa)
-        rate = mec.transmission_rate(profile, gain, scn.env)
-        e_off = mec.offload_energy(profile, rate, int(scn.capacities[i])).energy
-        return mec.energy_saving(float(scn.e_locals[i]), e_off, int(scn.capacities[i]))
+        return channel_saving(cfg, env, profile, rng.exponential(1.0))
     if cfg.energy_truth == "gaussian":
         return float(rng.normal(cfg.truth_location, math.sqrt(cfg.truth_spread)))
     return float(rng.laplace(cfg.truth_location, cfg.truth_spread))
@@ -228,18 +265,19 @@ def replay_timeline(cfg: SimConfig, scn: Scenario, seed: int) -> tuple[list, lis
     task_rngs = [_stream(cfg.master_seed, seed, 1, i) for i in range(n)]
     fading_rngs = [_stream(cfg.master_seed, seed, 2, i) for i in range(n)]
     gens = [task_generator(cfg, int(k)) for k in scn.capacities]
+    profiles, _ = draw_profiles(cfg, seed)
     tau = [0] * n
     events: list = []
     blocks: list = []
     for t in range(cfg.horizon):
         if period > 0 and t % period == 0:
-            blocks.append([draw_saving(cfg, scn, fading_rngs[i], i) for i in range(n)])
+            blocks.append([draw_saving(cfg, scn.env, profiles[i], fading_rngs[i]) for i in range(n)])
         for i in range(n):
             # the deadline countdown runs whatever the action
             tau[i] = max(tau[i] - 1, 0)
             if tau[i] == 0 and gens[i].maybe_arrival(task_rngs[i]):
                 tau[i], size = gens[i].draw(task_rngs[i])
-                saving = draw_saving(cfg, scn, fading_rngs[i], i) if period == 0 else None
+                saving = draw_saving(cfg, scn.env, profiles[i], fading_rngs[i]) if period == 0 else None
                 events.append((t, i, tau[i], size, saving))
     return events, blocks
 

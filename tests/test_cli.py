@@ -61,6 +61,16 @@ def test_simulate_negative_laplace_spread_exits_2(tmp_path, capsys):
     assert "truth_spread" in capsys.readouterr().err
 
 
+def test_simulate_psbl_negative_spread_under_channel_truth_exits_2(tmp_path, capsys):
+    # psbl reads truth_spread as its true prior's scale under channel truth too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("estimator = psbl\ntruth_spread = -1\nnum_users = 8\nnum_servers = 3\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(cfg), "--seeds", "1", "--out", str(out)]) == 2
+    assert "truth_spread must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("truth", ["gaussian", "laplace"])
 def test_simulate_zero_spread_exits_2(tmp_path, capsys, truth):
     cfg = tmp_path / "run.cfg"

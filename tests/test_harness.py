@@ -15,6 +15,8 @@ from dynamics_oracles import (
     StepWorld,
     SystemState,
     TaskState,
+    channel_saving,
+    draw_profiles,
     replay_noise,
     replay_timeline,
     step_system,
@@ -24,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from whittle_oracles import arm_groups_reference
 
-from edgebandit import harness
+from edgebandit import harness, mec
 from edgebandit.config import (
     PRESETS,
     ConfigError,
@@ -69,6 +71,9 @@ FAST = {
 }
 
 
+USER_ARRAYS = ("capacities", "e_locals", "noise_vars", "path_ratios", "tx_powers", "subtask_bits")
+
+
 def cfg(**kw) -> SimConfig:
     return apply_overrides(SimConfig(), {**FAST, **kw})
 
@@ -76,14 +81,38 @@ def cfg(**kw) -> SimConfig:
 class TestScenario:
     def test_deterministic_profiles(self):
         a = build_scenario(cfg(), 3)
+        harness._last_drawn.clear()
         b = build_scenario(cfg(), 3)
-        assert a.profiles == b.profiles
-        np.testing.assert_array_equal(a.capacities, b.capacities)
+        assert a is not b
+        for field in USER_ARRAYS:
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field), strict=True)
 
     def test_profiles_vary_by_seed(self):
         a = build_scenario(cfg(), 0)
         b = build_scenario(cfg(), 1)
-        assert a.profiles != b.profiles
+        for field in ("noise_vars", "path_ratios", "tx_powers"):
+            assert not np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    @pytest.mark.parametrize("preset,seed", [("fig6", 0), ("fig6", 1), ("fig3a", 0), ("fig4", 2)])
+    def test_user_arrays_match_profile_replay(self, preset, seed):
+        # the scenario stream drawn call by call into profiles, pushed through mec
+        c = preset_cells(preset)[0].config
+        scn = build_scenario(c, seed)
+        profiles, noise_vars = draw_profiles(c, seed)
+        expected = {
+            "capacities": [mec.offload_capacity(p, scn.env) for p in profiles],
+            "e_locals": [mec.local_energy_per_subtask(p, c.energy_model) for p in profiles],
+            "noise_vars": noise_vars,
+            "tx_powers": [p.tx_power for p in profiles],
+            "subtask_bits": [p.subtask_bits for p in profiles],
+        }
+        for field, values in expected.items():
+            arr = getattr(scn, field)
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, np.array(values, dtype=arr.dtype), strict=True)
+        # channel_gain at unit fading is pathloss_const times the ratio, exactly
+        gains = [mec.channel_gain(scn.env, p.distance) for p in profiles]
+        np.testing.assert_array_equal(scn.env.pathloss_const * scn.path_ratios, gains, strict=True)
 
     def test_validation_collects_all_errors(self):
         bad = dataclasses.replace(cfg(), num_servers=99, discount=0.0, policy="rr")
@@ -130,9 +159,11 @@ class TestScenario:
             ("bound_esav_samples", {"bound_esav_samples": 0}),
             ("truth_spread", {"energy_truth": "gaussian", "truth_spread": -1.0}),
             ("truth_spread", {"energy_truth": "laplace", "truth_spread": -1.0}),
+            # psbl reads it as its true prior's scale under channel truth too
+            ("truth_spread", {"estimator": "psbl", "truth_spread": -1.0}),
         ],
         ids=["mh_burn_in", "mh_proposal_factor-zero", "mh_proposal_factor-negative", "bound_esav_samples",
-             "truth_spread-gaussian", "truth_spread-laplace"],
+             "truth_spread-gaussian", "truth_spread-laplace", "truth_spread-psbl-channel"],
     )
     def test_learner_and_bound_settings_validated(self, field, overrides):
         c = cfg(**overrides)
@@ -172,6 +203,21 @@ class TestScenario:
     def test_slot_length_violation_is_config_error(self):
         with pytest.raises(ConfigError, match="transmit time"):
             build_scenario(cfg(slot_length=1e-6), 0)
+
+    def test_zero_rate_at_unit_fading_reported_per_user(self):
+        # at -400 dBm the SNR rounds to 1, so no user has any rate
+        c = cfg(num_users=3, num_servers=1, tx_power_low_dbm=-400.0, tx_power_high_dbm=-400.0)
+        with pytest.raises(ConfigError) as err:
+            build_scenario(c, 0)
+        assert str(err.value) == "; ".join(f"user {i}: zero-rate channel at unit fading" for i in range(3))
+
+    def test_zero_rate_offload_raises(self):
+        # the timeline and the bound both compute their savings through _offload
+        c = cfg()
+        scn = build_scenario(c, 0)
+        users = np.arange(c.num_users)
+        with pytest.raises(ValueError, match="^zero-rate channel$"):
+            harness._offload(c, scn, users, np.zeros(users.size))
 
     def test_defaults_run(self):
         rec = run_episode(SimConfig(), 0)
@@ -780,6 +826,46 @@ class TestRelaxedBoundIntegration:
             assert [g.e_work.shape[1] // g.n_samples for law in laws for g in law.groups] == [
                 len(members) for members in reference.values()
             ]
+
+    @pytest.mark.parametrize("preset,seed", [("fig6", 0), ("fig6", 1), ("fig3a", 0), ("fig3a", 1)])
+    def test_channel_points_are_mecs_chain(self, preset, seed):
+        # one saving formula: the bound's points are the timeline's savings
+        # at the fading quantiles, bit for bit
+        c = preset_cells(preset)[0].config
+        chains = build_arm_chains(c, seed)
+        n_q = c.bound_esav_samples
+        kappa = -np.log1p(-(np.arange(n_q) + 0.5) / n_q)
+        env = build_scenario(c, seed).env
+        profiles, _ = draw_profiles(c, seed)
+        for chain, profile in zip(chains, profiles, strict=True):
+            expected = [channel_saving(c, env, profile, k) for k in kappa.tolist()]
+            np.testing.assert_array_equal(chain.esav_values, expected, strict=True)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"truth_location": 0.0, "truth_spread": 1.0},
+            {"truth_location": -3.5, "truth_spread": 7.25, "bound_esav_samples": 33},
+        ],
+        ids=["fig7", "standard", "shifted-33"],
+    )
+    def test_gaussian_points_near_scipy(self, overrides):
+        # the standard library's inverse CDF stands in for scipy's norm.ppf:
+        # within 2 ulps on fig7's points, and elsewhere within a few ulps of
+        # the terms of loc + scale * z, which cancel when z is near -loc / scale
+        stats = pytest.importorskip("scipy.stats")
+        c = apply_overrides(preset_cells("fig7")[0].config, overrides)
+        n_q, loc, scale = c.bound_esav_samples, c.truth_location, np.sqrt(c.truth_spread)
+        z = stats.norm.ppf((np.arange(n_q) + 0.5) / n_q)
+        expected = stats.norm.ppf((np.arange(n_q) + 0.5) / n_q, loc=loc, scale=scale)
+        chains = build_arm_chains(c, 0)
+        points = chains[0].esav_values
+        if not overrides:
+            np.testing.assert_array_max_ulp(points, expected, maxulp=2)
+        assert (np.abs(points - expected) <= 4 * np.spacing(abs(loc) + scale * np.abs(z))).all()
+        for chain in chains:
+            np.testing.assert_array_equal(chain.esav_values, points, strict=True)
 
 
 class TestRunExperiment:

@@ -1,12 +1,12 @@
-"""What a fresh interpreter loads: scipy and multiprocessing only where a
-run first needs them.
+"""What a fresh interpreter loads: no scipy at all, and multiprocessing
+only where a run first needs it.
 
-``import edgebandit`` loads numpy and the package's own modules; scipy
-arrives only with a gaussian-truth bound (``norm.ppf``), and
-``multiprocessing`` with a sweep of more than one job.  The learners,
-prior swapping's Metropolis-Hastings kernel included, load no scipy.
-The checks run in a subprocess, since this test process may already
-hold either.
+``import edgebandit`` loads numpy and the package's own modules, and no
+run loads scipy: not the learners, prior swapping's Metropolis-Hastings
+kernel included, and not a gaussian-truth bound, whose quantiles come
+from the standard library.  ``multiprocessing`` arrives with a sweep of
+more than one job.  The checks run in a subprocess, since this test
+process may already hold either.
 """
 
 import json
@@ -59,7 +59,14 @@ def test_scipy_and_pool_load_only_where_needed():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    for stage in ("import", "fig6 wi episode", "relaxed bound", "run_experiment jobs=1", "fig8 psbl episode"):
-        assert loaded[stage]["scipy"] == [], stage
+    assert list(loaded) == [
+        "import",
+        "fig6 wi episode",
+        "relaxed bound",
+        "run_experiment jobs=1",
+        "fig8 psbl episode",
+        "gaussian-truth bound",
+    ]
+    for stage, modules in loaded.items():
+        assert modules["scipy"] == [], stage
     assert loaded["run_experiment jobs=1"]["multiprocessing"] == []
-    assert "scipy.stats" in loaded["gaussian-truth bound"]["scipy"]
