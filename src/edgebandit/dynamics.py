@@ -8,6 +8,11 @@ task's deadline and its unfinished subtasks.  The idle state is exactly
 ``capacity`` subtasks when selected).  Per-user states live in arrays;
 :func:`step` advances them all one slot, and the caller draws the next
 task of every user it leaves at ``(0, 0)``.
+
+Leftovers are integers in 0..the largest backlog, so the reward reads the
+penalty from a table: :meth:`PenaltyFn.at` indexes ``values`` on 0..K,
+built on the first call, kept read-only with the penalty and rebuilt
+larger when a leftover exceeds K.  The bits are those of ``values``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ class PenaltyFn:
 
     base: float
     quad_coeff: float
+    # values on 0..K, read by ``at``; empty until its first call
+    _table = np.zeros(0)
 
     def __post_init__(self) -> None:
         if self.base < 0 or self.quad_coeff < 0:
@@ -64,6 +71,18 @@ class PenaltyFn:
     def table(self, x_max: int) -> np.ndarray:
         """F evaluated on 0..x_max (vectorized helper for the solvers)."""
         return self.values(np.arange(x_max + 1))
+
+    def at(self, leftover) -> np.ndarray:
+        """``values(leftover)`` for integer leftovers >= 0, read from the
+        penalty's table of ``values`` on 0..K.  A leftover beyond K (or the
+        first call) rebuilds the table larger; it is never clipped."""
+        try:
+            return self._table[leftover]
+        except IndexError:
+            table = self.table(2 * int(np.max(leftover)))
+            table.setflags(write=False)
+            object.__setattr__(self, "_table", table)  # a cache, not a field
+            return table[leftover]
 
 
 @dataclass(frozen=True)
@@ -120,7 +139,7 @@ def _reward(tau, backlog, action, e_saving, leftover, penalty: PenaltyFn) -> np.
     earned = e_saving * action
     return np.where(
         backlog > 0,
-        np.where(tau > 1, earned, earned - penalty.values(leftover)),
+        np.where(tau > 1, earned, earned - penalty.at(leftover)),
         0.0,
     )
 

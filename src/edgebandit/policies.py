@@ -25,6 +25,7 @@ Selections are deterministic: every tie breaks toward the smaller user id.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from enum import Enum
@@ -89,9 +90,16 @@ def slot_keys(tau, backlog, capacity, wi, gain) -> np.recarray:
     return keys.view(np.recarray)
 
 
+@functools.lru_cache(maxsize=4)
+def _lcm(capacity: bytes) -> int:
+    """The lcm of a capacity array, given by its int64 bytes: the capacities
+    do not change within an episode."""
+    return math.lcm(*np.unique(np.frombuffer(capacity, dtype=np.int64)).tolist())
+
+
 def _slack_key(tau: np.ndarray, backlog: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     """Slack tau - backlog/capacity times the lcm of the capacities: exact integers."""
-    lcm = math.lcm(*np.unique(capacity).tolist())
+    lcm = _lcm(np.asarray(capacity, dtype=np.int64).tobytes())
     if lcm > 2**31:  # tau * lcm might overflow int64; Python integers stay exact
         tau, backlog, capacity = (a.astype(object) for a in (tau, backlog, capacity))
     return tau * lcm - backlog * (lcm // capacity)

@@ -37,7 +37,12 @@ resulting 2L coefficients.  The groups run their inductions in turn in
 one workspace, allocated once per bound for the largest group.  The
 bound's horizon-truncated tables stop one level short of the deadline
 tables, because the finite-horizon recursion never reads their last
-level.
+level.  Each group also carries, per level and for both table lengths,
+its reach: the last backlog row a task can occupy there (:func:`_reach`).
+The bound's inductions compute only the rows within reach, and one sum
+per level reduces the value and derivative rows over the arms together
+(:func:`_level_means`).  Rows beyond the reach have probability 0 in the
+level's sizes, so the values keep their bits.
 
 The bound's values are checked against an independent value iteration
 over the joint recurrent chain, kept with the scalar threshold search in
@@ -384,6 +389,7 @@ def _induction(
     deadline: Optional[tuple[np.ndarray, np.ndarray]] = None,
     derivative: bool = True,
     work: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    reach: Optional[Sequence[int]] = None,
 ):
     """Backward induction of the subsidized arm within one task.
 
@@ -401,6 +407,12 @@ def _induction(
     the subsidy, so it is a subgradient at a kink.  Without ``derivative``
     it is not carried, and None is yielded for it.
 
+    With ``reach``, level l computes and yields only rows 0..``reach[l-1]``,
+    the rows some task can occupy there (:func:`_reach`); the rows a level
+    reads from the one before stay within that level's reach, so every
+    row computed has the bits of the full induction.  Without it every
+    row is computed.
+
     Every level is computed in ``work``, a :func:`_workspace` at least as
     large as one level (one is allocated when it is None): the arrays
     yielded are views into it, which the next level overwrites.
@@ -408,6 +420,7 @@ def _induction(
     shape = np.broadcast_shapes(e_work.shape, np.shape(delta))
     rows, size = shape[0], math.prod(shape)
     k = min(capacity, rows - 1)  # rows 0..k have the empty row as active successor
+    e_row = e_work[-1]  # the saving, on every row with work
     floats, mask = _workspace(size) if work is None else work
     v, dv, bv, bdv, q0, q1, dq0 = (row[:size].reshape(shape) for row in floats)
     passive = mask[:size].reshape(shape)
@@ -416,29 +429,32 @@ def _induction(
         dv.fill(0.0)
     for level in range(1, levels + 1):
         first = deadline is not None and level == 1
+        r = rows if reach is None else reach[level - 1] + 1  # rows computed
+        a = min(k + 1, r)  # of them, those whose active successor is the empty row
+        m = max(r - 1, 1)  # rows of the previous level read
         if first:
             pen_passive, q_active = deadline
-            np.subtract(delta, pen_passive, out=q0)
-            np.copyto(q1, q_active)
+            np.subtract(delta, pen_passive[:r], out=q0[:r])
+            np.copyto(q1[:r], q_active[:r])
         else:
-            np.multiply(v, beta, out=bv)
+            np.multiply(v[:m], beta, out=bv[:m])
             np.add(delta, bv[:1], out=q0[:1])
-            np.add(delta, bv[:-1], out=q0[1:])
-            np.add(e_work[: k + 1], bv[:1], out=q1[: k + 1])
-            np.add(e_work[k + 1 :], bv[1 : rows - k], out=q1[k + 1 :])
-        np.greater_equal(q0, q1, out=passive)
-        np.maximum(q0, q1, out=v)
+            np.add(delta, bv[: r - 1], out=q0[1:r])
+            np.add(e_work[:a], bv[:1], out=q1[:a])
+            np.add(e_row, bv[1 : r - a + 1], out=q1[a:r])
+        np.greater_equal(q0[:r], q1[:r], out=passive[:r])
+        np.maximum(q0[:r], q1[:r], out=v[:r])
         if derivative:
             if first:  # one passive slot or none, then the deadline
-                np.copyto(dv, passive)
+                np.copyto(dv[:r], passive[:r])
             else:
-                np.multiply(dv, beta, out=bdv)
+                np.multiply(dv[:m], beta, out=bdv[:m])
                 np.add(1.0, bdv[:1], out=dq0[:1])
-                np.add(1.0, bdv[:-1], out=dq0[1:])
-                dv[: k + 1] = bdv[:1]
-                dv[k + 1 :] = bdv[1 : rows - k]
-                np.copyto(dv, dq0, where=passive)
-        yield passive, v, dv if derivative else None
+                np.add(1.0, bdv[: r - 1], out=dq0[1:r])
+                dv[:a] = bdv[:1]
+                dv[a:r] = bdv[1 : r - a + 1]
+                np.copyto(dv[:r], dq0[:r], where=passive[:r])
+        yield passive[:r], v[:r], dv[:r] if derivative else None
 
 
 def _solve_arm(mdp: SubsidizedArmMDP, subsidies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -601,6 +617,23 @@ class _ArmGroup:
     n_samples: int  # saving samples per arm
     e_work: np.ndarray  # (B + 1, arms * samples), from _work_terms
     deadline: tuple[np.ndarray, np.ndarray]
+    reach: dict  # level count (L, L - 1) -> _reach of the first that many size rows
+
+
+def _reach(size_probs: np.ndarray) -> tuple[int, ...]:
+    """The last backlog row that a task can occupy at each level l = 1..L of
+    an induction whose level d reads the sizes ``size_probs[d-1]``.
+
+    A d-level task starts at most at row Bmax(d), the largest size with
+    nonzero probability (0 if none has), and loses at least one subtask
+    per slot, so at level l <= d it is at most at row Bmax(d) - (d - l).
+    The reach of level l is the largest of these over d >= l, which is at
+    least Bmax(l) and at most B.
+    """
+    n_levels, b_max = size_probs.shape
+    largest = np.where(size_probs > 0, np.arange(1, b_max + 1), 0).max(axis=1, initial=0)  # Bmax(d)
+    level = np.arange(1, n_levels + 1)
+    return tuple((np.maximum.accumulate((largest - level)[::-1])[::-1] + level).tolist())
 
 
 @dataclass(frozen=True)
@@ -642,7 +675,9 @@ def _arm_groups(arms: Sequence[ArmChain], beta: float, horizon: Optional[int] = 
             e_work, deadline = _work_terms(
                 esav.ravel(), first.capacity, first.penalty.table(first.size_probs.shape[1])
             )
-            groups.append(_ArmGroup(first.capacity, first.size_probs, esav.shape[1], e_work, deadline))
+            n_levels = len(first.size_probs)
+            reach = {n: _reach(first.size_probs[:n]) for n in (n_levels, n_levels - 1)}
+            groups.append(_ArmGroup(first.capacity, first.size_probs, esav.shape[1], e_work, deadline, reach))
         phi = float(dur @ beta ** np.arange(1, len(dur) + 1))
         laws.append(
             _ArrivalLaw(
@@ -669,19 +704,36 @@ def _level_means(
     derivatives in the subsidy, one column per task length.
 
     One :func:`_induction` at one subsidy over a group of arms, in ``work``
-    when given.  Returns
+    when given, on the rows each level can reach.  Returns
     shape (2, ``n_levels``): out[0, d-1] = sum_a E_{B|d, e}[value of a
     d-level task] and out[1, d-1] its derivative, the expected discounted
     number of passive slots.
+
+    The value and derivative rows are adjacent in the workspace, so one
+    sum per level reduces both over the arms; each is then dotted with the
+    level's full size row, on which the rows beyond the reach have
+    probability 0 and sum to 0.
     """
+    if work is None:
+        work = _workspace(group.e_work.size)
+    rows, cols = group.e_work.shape
+    both = work[0][:2, : rows * cols].reshape(2, rows, cols)  # v and dv of _induction
     levels = _induction(
         delta, group.e_work, group.capacity, n_levels, beta,
-        group.deadline if with_deadline else None, work=work,
+        group.deadline if with_deadline else None, work=work, reach=group.reach[n_levels],
     )
+    sums = np.zeros((2, rows - 1))
+    filled = 0  # rows of sums holding a level's sums
     out = np.zeros((2, n_levels))
-    for level, (_, v, dv) in enumerate(levels):
-        out[0, level] = group.size_probs[level] @ v[1:].sum(axis=1)
-        out[1, level] = group.size_probs[level] @ dv[1:].sum(axis=1)
+    for level, (_, v, _) in enumerate(levels):
+        r = len(v) - 1  # rows with work computed at this level
+        np.sum(both[:, 1 : r + 1], axis=-1, out=sums[:, :r])
+        if r < filled:
+            sums[:, r:filled] = 0.0
+        filled = r
+        probs = group.size_probs[level]
+        out[0, level] = probs @ sums[0]
+        out[1, level] = probs @ sums[1]
     return out / group.n_samples
 
 

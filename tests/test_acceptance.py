@@ -397,7 +397,8 @@ def test_criterion_7_laplace_prior_swapping(fig8):
     report(
         "criterion 7 (psbl >= bl)",
         diffs.mean() >= 0,
-        f"paired mean reward difference {diffs.mean():+.2f} over {diffs.size} runs",
+        f"paired mean reward difference {diffs.mean():+.2f} (SE {diffs.std(ddof=1) / np.sqrt(diffs.size):.2f}) "
+        f"over {diffs.size} runs, {int((diffs > 0).sum())} positive",
     )
 
 

@@ -78,6 +78,29 @@ class TestPenaltyFn:
             assert pen.values(x).tobytes() == want.tobytes()
             assert pen.table(60).tobytes() == want.tobytes()
 
+    @given(
+        st.sampled_from([PenaltyFn.theory, PenaltyFn.experiment]),
+        st.floats(0.0, 10.0),
+        st.lists(st.integers(0, 200), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_table_reads_values_bit_for_bit(self, form, alpha, leftovers):
+        pen = form(alpha)
+        x = np.array(leftovers, dtype=np.int64)
+        assert pen.at(x).tobytes() == pen.values(x).tobytes()
+        table = pen._table
+        assert not table.flags.writeable
+        last = table.size - 1
+        ends = np.array([0, last])
+        assert pen.at(ends).tobytes() == pen.values(ends).tobytes()
+        assert pen.at(np.int64(last)) == pen.values(last)
+        assert pen._table is table  # kept with the penalty while it covers the leftovers
+        # beyond the table's last entry: rebuilt larger, never clipped
+        beyond = np.array([last + 1, 3 * last + 5])
+        assert pen.at(beyond).tobytes() == pen.values(beyond).tobytes()
+        assert pen._table.size > 3 * last + 5
+        assert pen._table[: table.size].tobytes() == table.tobytes()
+
     def test_negative_coefficients_rejected(self):
         with pytest.raises(ValueError):
             PenaltyFn(base=-1.0, quad_coeff=0.0)

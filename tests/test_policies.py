@@ -6,6 +6,7 @@ reference graph and sort, and ``TestMatchesOracle`` ties the two together.
 """
 
 import heapq
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -181,6 +182,41 @@ class TestSelect:
     def test_too_many_servers_rejected(self):
         with pytest.raises(ValueError):
             select(PolicyKind.WI, [idler(0)], 2)
+
+
+class TestSlackKey:
+    """The integer slack key against exact fractions."""
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 10),
+                    st.integers(0, 60),
+                    st.one_of(st.integers(1, 12), st.sampled_from([997, 1009, 1013, 65521, 2**31 - 1])),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slack_key_is_exact_with_cached_lcm(self, slots):
+        # capacity sets alternate, and each is rewritten into one array in
+        # place: the cached lcm must follow the content, not the array
+        capacity = None
+        for users in slots + slots[::-1]:
+            tau, backlog, caps = (np.array(col, dtype=np.int64) for col in zip(*users))
+            if capacity is None or capacity.size != caps.size:
+                capacity = caps
+            else:
+                capacity[:] = caps
+            lcm = math.lcm(*caps.tolist())
+            exact = [t * lcm - b * (lcm // k) for t, b, k in users]
+            assert all(Fraction(s, lcm) == Fraction(t) - Fraction(b, k) for s, (t, b, k) in zip(exact, users))
+            assert policies._slack_key(tau, backlog, capacity).tolist() == exact
 
 
 class TestBuildStlwDag:

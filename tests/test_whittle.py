@@ -651,6 +651,87 @@ class TestHorizonMapAndWorkspace:
                     assert np.array_equal(got, ref)
 
 
+@st.composite
+def windowed_arms(draw):
+    """Arms of one capacity (1 or 2) whose d-slot tasks have sizes in a
+    window lo..min(B, capacity * d), so that low levels cannot reach the
+    top backlog rows."""
+    n_levels = draw(st.integers(3, 6))
+    k = draw(st.integers(1, 2))
+    b_max = draw(st.integers(k * n_levels, k * n_levels + 3))
+    size = np.zeros((n_levels, b_max))
+    for d in range(1, n_levels + 1):
+        hi = min(b_max, k * d)
+        lo = draw(st.integers(1, hi))
+        size[d - 1, lo - 1 : hi] = 1.0 / (hi - lo + 1)
+    penalty = draw(PENALTIES)
+    saving = st.one_of(st.floats(-2.0, 2.0), EXACT_TIES)
+    n_samples = draw(st.integers(1, 3))
+    return [
+        ArmChain(
+            capacity=k,
+            penalty=penalty,
+            arrival_prob=0.7,
+            duration_probs=np.full(n_levels, 1.0 / n_levels),
+            size_probs=size,
+            esav_values=np.array(draw(st.lists(saving, min_size=n_samples, max_size=n_samples))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+class TestReach:
+    """The bound's inductions run only the backlog rows a task can reach:
+    the same bits as the full induction, on fewer rows."""
+
+    @given(
+        windowed_arms(),
+        st.lists(st.one_of(st.floats(-4.0, 4.0), EXACT_TIES), min_size=1, max_size=3),
+        st.floats(0.5, 0.98),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_trimmed_level_means_equal_untrimmed_reference(self, arms, deltas, beta):
+        (law,) = _arm_groups(arms, beta, 12)
+        (group,) = law.groups
+        n_levels, b_max = group.size_probs.shape
+        assert group.reach[n_levels][0] < b_max  # the first level is trimmed
+        esav = np.stack([a.esav_values for a in arms])
+        proto = arms[0]
+        work = _workspace(group.e_work.size)
+        for delta in deltas:
+            for levels, with_deadline in ((n_levels, True), (n_levels - 1, False)):
+                got = _level_means(group, delta, beta, levels, with_deadline, work)
+                ref = level_means_reference(
+                    esav, proto.capacity, proto.penalty, proto.size_probs[:levels], delta, beta, with_deadline
+                )
+                assert got.tobytes() == ref.tobytes()
+
+    def test_reach_of_a_hand_computed_group(self, monkeypatch):
+        # capacity 2, durations 1..10, a d-slot task has 1..2d subtasks: it
+        # reaches row 2d - (d - l) = d + l at level l, so level l reaches
+        # row 10 + l, or 9 + l when the truncated tables stop at 9 levels
+        size = np.zeros((10, 30))
+        for d in range(1, 11):
+            size[d - 1, : 2 * d] = 1.0 / (2 * d)
+        arm = ArmChain(2, PenaltyFn.experiment(5.0), 0.7, np.full(10, 0.1), size, np.array([0.3, -0.1]))
+        (law,) = _arm_groups([arm], 0.99, 200)
+        (group,) = law.groups
+        assert group.reach == {10: tuple(range(11, 21)), 9: tuple(range(10, 19))}
+
+        rows = []
+        induction = whittle._induction
+
+        def counted(*args, **kwargs):
+            for passive, v, dv in induction(*args, **kwargs):
+                assert passive.shape == v.shape == dv.shape
+                rows.append(len(v))
+                yield passive, v, dv
+
+        monkeypatch.setattr(whittle, "_induction", counted)
+        _group_terms([law], 0.2, 0.99)
+        assert rows == list(range(12, 22)) + list(range(11, 20))
+
+
 class TestSearchMatchesBisection:
     """The cutting-plane search against the sign bisection it replaced, on
     the same dual evaluations."""
