@@ -21,28 +21,35 @@ two is evidence, not tautology.
 One within-task backward induction, :func:`_induction`, serves both the
 oracle and the indexability check (a batch of subsidies on its trailing
 axis) and the relaxed bound (one subsidy, a group of arms' saving samples
-on its trailing axis).  Each level multiplies the previous values by the
-discount once, reads the passive (b-1) and active (b-capacity) successor
-rows as slices clamped at the empty row, takes the value as the maximum
-of the two actions and selects the derivative in place.  The terms that
-do not depend on the subsidy (the saving on rows with work and the
-deadline level) are built once: per call for the oracle, and per bound
-for the relaxed bound, which groups and stacks its arms once
-(:func:`_arm_groups`) and evaluates every subsidy of its dual search on
-those groups.  Each arrival law also carries its horizon map: the
-finite-horizon value is linear in the idle gain and the task values at
-arrival, so the T-slot recursion (:func:`_finite_chain_values`) runs once
-per law and bound, on unit inputs, and each dual evaluation applies the
-resulting 2L coefficients.  The groups run their inductions in turn in
-one workspace, allocated once per bound for the largest group.  The
-bound's horizon-truncated tables stop one level short of the deadline
-tables, because the finite-horizon recursion never reads their last
-level.  Each group also carries, per level and for both table lengths,
-its reach: the last backlog row a task can occupy there (:func:`_reach`).
-The bound's inductions compute only the rows within reach, and one sum
-per level reduces the value and derivative rows over the arms together
-(:func:`_level_means`).  Rows beyond the reach have probability 0 in the
-level's sizes, so the values keep their bits.
+on its trailing axis).  It runs in two parts.  A plan (:func:`_plan`)
+holds, level by level, the views of the workspace that each call reads
+and writes, fixed by the shape, capacity, levels, reach and deadline.  A
+run calls the same ufuncs on those views with ``out=``, at one subsidy.
+Each level multiplies the previous values by the discount once, reads the
+passive (b-1) and active (b-capacity) successor rows as slices clamped at
+the empty row, takes the value as the maximum of the two actions and
+selects the derivative in place.  The terms that do not depend on the
+subsidy (the saving on rows with work, the deadline level and the plan)
+are built once: per call for the oracle (one plan serves every bisection
+step of :func:`subsidy_threshold_table`), and per bound for the relaxed
+bound, which groups and stacks its arms once (:func:`_arm_groups`), plans
+each group's deadline and truncated inductions once (:func:`_group_plans`)
+and runs them at every subsidy of its dual search.  Each arrival law also
+carries its horizon map: the finite-horizon value is linear in the idle
+gain and the task values at arrival, so the T-slot recursion
+(:func:`_finite_chain_values`) runs once per law and bound, on unit
+inputs, and each dual evaluation applies the resulting 2L coefficients.
+All of a bound's plans view one workspace of five rows, allocated once per
+bound for the largest group, and are dropped with it when the bound
+returns.  The bound's horizon-truncated tables stop one level short of the
+deadline tables, because the finite-horizon recursion never reads their
+last level.  Each group also carries, per level and for both table
+lengths, its reach: the last backlog row a task can occupy there
+(:func:`_reach`).  The bound's inductions compute only the rows within
+reach, one reduction per level sums the value and derivative rows over
+the arms together, and one ``vecdot`` per run weighs the sums by the
+sizes (:func:`_level_means`).  Rows beyond the reach have probability 0
+in the level's sizes, so the values keep their bits.
 
 The bound's values are checked against an independent value iteration
 over the joint recurrent chain, kept with the scalar threshold search in
@@ -301,10 +308,11 @@ def whittle_index_array(
         return flat.reshape(arrays[0].shape)
     if tau.size == 0:
         return np.zeros(0)
+    # a[a.argmax()] is a.max() without the reduction's Python wrapper
     tables, first = _first_states(
         capacity.tobytes(),
-        _cover(int(tau.max()), _MIN_TAU, 2),
-        _cover(int(backlog.max()), _MIN_BACKLOG, 8),
+        _cover(int(tau[tau.argmax()]), _MIN_TAU, 2),
+        _cover(int(backlog[backlog.argmax()]), _MIN_BACKLOG, 8),
         float(discount),
         penalty,
     )
@@ -369,113 +377,163 @@ def _work_terms(e, capacity: int, fpen: np.ndarray) -> tuple[np.ndarray, tuple[n
     return e_work, (pen_passive, q_active)
 
 
-# float arrays of an _induction workspace: the value and derivative rows,
-# their discounted copies, q0, q1 and dq0
-_WORK_ROWS = 7
+# float rows of the bound's induction workspace: the value and derivative
+# rows, adjacent so that one reduction sums both, then bv, q0 and q1.  The
+# discounted derivative reuses bv's row, dead once q1 is built, and dq0
+# reuses q0's, dead once the value is taken.
+_WORK_ROWS = 5
 
 
 def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for :func:`_induction` over up to ``size`` elements: its float
-    arrays, one per row, and the passive mask."""
+    """Scratch for the bound's inductions over up to ``size`` elements: its
+    float arrays, one per row, and the passive mask."""
     return np.empty((_WORK_ROWS, size)), np.empty(size, dtype=bool)
 
 
-def _induction(
-    delta,
+class _Plan(NamedTuple):
+    """The views one :func:`_induction` reads and writes (:func:`_plan`)."""
+
+    zero: Optional[np.ndarray]  # the zero continuation the first level reads
+    levels: tuple[tuple, ...]  # per level, (first, q, passive, value, derivative, reduce)
+    sums: Optional[np.ndarray]  # (2, levels, backlog rows with work)
+
+
+def _plan(
     e_work: np.ndarray,
     capacity: int,
-    levels: int,
-    beta: float,
+    scratch: np.ndarray,
+    out: Sequence[tuple[np.ndarray, np.ndarray]],
     deadline: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    derivative: bool = True,
-    work: Optional[tuple[np.ndarray, np.ndarray]] = None,
     reach: Optional[Sequence[int]] = None,
-):
-    """Backward induction of the subsidized arm within one task.
+    sums: bool = False,
+) -> _Plan:
+    """The views of a backward induction within one task, level by level.
 
-    Yields ``(passive, value, derivative)`` for tau = 1..``levels``, each of
-    shape (backlog, X): backlog leads, so the passive successor (b-1) and
-    the active one (b-capacity), clamped at the empty row, are row slices,
-    and the subsidy ``delta`` and the saving in ``e_work`` broadcast over
-    the trailing axis X.  ``e_work`` and ``deadline`` come from
-    :func:`_work_terms`.  The continuation after the last slot is zero.
-    With ``deadline`` the first level charges the non-completion penalty;
-    without it the task is cut off before its deadline.  Ties resolve to
-    the passive action, matching the infimum in the index definition.  The
-    derivative in the subsidy is the discounted number of passive slots
-    under the actions picked: each value is a max of functions affine in
-    the subsidy, so it is a subgradient at a kink.  Without ``derivative``
-    it is not carried, and None is yielded for it.
+    Arrays are (backlog, X): backlog leads, so the passive successor (b-1)
+    and the active one (b-capacity), clamped at the empty row, are row
+    slices.  ``e_work`` and ``deadline`` come from :func:`_work_terms`.
+    ``scratch`` is (3, backlog, X): bv (then the discounted derivative),
+    q0 (then dq0) and q1.  ``out[l-1]`` is ``(vd, passive)``: level l writes
+    its value to ``vd[0]``, its derivative to ``vd[1]`` when ``vd`` has a
+    second row (else none is carried), and its passive mask to
+    ``passive``; level l+1 reads level l's ``vd``.  Without ``deadline``
+    the first level reads its own ``vd``, zeroed, as the continuation.
 
-    With ``reach``, level l computes and yields only rows 0..``reach[l-1]``,
-    the rows some task can occupy there (:func:`_reach`); the rows a level
-    reads from the one before stay within that level's reach, so every
-    row computed has the bits of the full induction.  Without it every
-    row is computed.
-
-    Every level is computed in ``work``, a :func:`_workspace` at least as
-    large as one level (one is allocated when it is None): the arrays
-    yielded are views into it, which the next level overwrites.
+    With ``reach``, level l computes only rows 0..``reach[l-1]``, the rows
+    some task can occupy there (:func:`_reach`); the rows a level reads
+    from the one before stay within that level's reach.  With ``sums``,
+    level l also sums ``vd``'s computed rows with work over X into
+    ``sums[:, l-1]``; the rows beyond are never written and stay 0.
     """
-    shape = np.broadcast_shapes(e_work.shape, np.shape(delta))
-    rows, size = shape[0], math.prod(shape)
+    rows = scratch.shape[1]
     k = min(capacity, rows - 1)  # rows 0..k have the empty row as active successor
     e_row = e_work[-1]  # the saving, on every row with work
-    floats, mask = _workspace(size) if work is None else work
-    v, dv, bv, bdv, q0, q1, dq0 = (row[:size].reshape(shape) for row in floats)
-    passive = mask[:size].reshape(shape)
-    if deadline is None:  # the first level reads the zero continuation
-        v.fill(0.0)
-        dv.fill(0.0)
-    for level in range(1, levels + 1):
+    bv, q0, q1 = scratch
+    totals = np.zeros((2, len(out), rows - 1)) if sums else None
+    zero = None
+    levels = []
+    prev = out[0][0] if out else None  # with no deadline, the first level reads its own rows
+    for level, (vd, passive) in enumerate(out, start=1):
         first = deadline is not None and level == 1
         r = rows if reach is None else reach[level - 1] + 1  # rows computed
         a = min(k + 1, r)  # of them, those whose active successor is the empty row
         m = max(r - 1, 1)  # rows of the previous level read
+        v, dv = vd[0], (vd[1] if len(vd) == 2 else None)
+        reduce = None if totals is None else (vd[:, 1:r], totals[:, level - 1, : r - 1])
         if first:
-            pen_passive, q_active = deadline
-            np.subtract(delta, pen_passive[:r], out=q0[:r])
-            np.copyto(q1[:r], q_active[:r])
+            q = (deadline[0][:r], q0[:r], deadline[1][:r])  # q1 is the active value itself
+            d = None if dv is None else (dv[:r],)
         else:
-            np.multiply(v[:m], beta, out=bv[:m])
-            np.add(delta, bv[:1], out=q0[:1])
-            np.add(delta, bv[: r - 1], out=q0[1:r])
-            np.add(e_work[:a], bv[:1], out=q1[:a])
-            np.add(e_row, bv[1 : r - a + 1], out=q1[a:r])
-        np.greater_equal(q0[:r], q1[:r], out=passive[:r])
-        np.maximum(q0[:r], q1[:r], out=v[:r])
-        if derivative:
+            if level == 1:
+                zero = prev[:, :m]
+            q = (
+                prev[0, :m], bv[:m], bv[:1], q0[:1], bv[: r - 1], q0[1:r],
+                e_work[:a], q1[:a], e_row, bv[1 : r - a + 1], q1[a:r], q0[:r], q1[:r],
+            )  # fmt: skip
+            d = None if dv is None else (prev[1, :m], dv[:a], dv[a:r], dv[:r])
+        levels.append((first, q, passive[:r], v[:r], d, reduce))
+        prev = vd
+    return _Plan(zero, tuple(levels), totals)
+
+
+def _induction(plan: _Plan, delta, beta: float) -> None:
+    """Backward induction of the subsidized arm within one task, run on the
+    views of a :func:`_plan` at subsidy ``delta``.
+
+    The subsidy broadcasts over the trailing axis X, as the saving does.
+    The continuation after the last slot is zero.  With a deadline the
+    first level charges the non-completion penalty; without one the task
+    is cut off before its deadline.  Ties resolve to the passive action,
+    matching the infimum in the index definition.  The derivative in the
+    subsidy is the discounted number of passive slots under the actions
+    picked: each value is a max of functions affine in the subsidy, so it
+    is a subgradient at a kink.
+
+    Every level runs the same ufunc calls on the plan's views, with
+    ``out=``, so a run allocates no array.
+    """
+    if plan.zero is not None:
+        plan.zero.fill(0.0)
+    for first, q, passive, v, d, reduce in plan.levels:
+        if first:
+            pen_passive, q0, q1 = q
+            np.subtract(delta, pen_passive, out=q0)
+        else:
+            (v_prev, bv, bv_empty, q0_empty, bv_passive, q0_rest,
+             e_empty, q1_empty, e_row, bv_active, q1_rest, q0, q1) = q  # fmt: skip
+            np.multiply(v_prev, beta, out=bv)
+            np.add(delta, bv_empty, out=q0_empty)
+            np.add(delta, bv_passive, out=q0_rest)
+            np.add(e_empty, bv_empty, out=q1_empty)
+            np.add(e_row, bv_active, out=q1_rest)
+        np.greater_equal(q0, q1, out=passive)
+        np.maximum(q0, q1, out=v)
+        if d is not None:
             if first:  # one passive slot or none, then the deadline
-                np.copyto(dv[:r], passive[:r])
-            else:
-                np.multiply(dv[:m], beta, out=bdv[:m])
-                np.add(1.0, bdv[:1], out=dq0[:1])
-                np.add(1.0, bdv[: r - 1], out=dq0[1:r])
-                dv[:a] = bdv[:1]
-                dv[a:r] = bdv[1 : r - a + 1]
-                np.copyto(dv[:r], dq0[:r], where=passive[:r])
-        yield passive[:r], v[:r], dv[:r] if derivative else None
+                np.copyto(d[0], passive)
+            else:  # the discounted derivative in bv's views, dq0 in q0's
+                dv_prev, dv_empty, dv_rest, dv = d
+                np.multiply(dv_prev, beta, out=bv)
+                np.add(1.0, bv_empty, out=q0_empty)
+                np.add(1.0, bv_passive, out=q0_rest)
+                np.copyto(dv_empty, bv_empty)
+                np.copyto(dv_rest, bv_active)
+                np.copyto(dv, q0, where=passive)
+        if reduce is not None:
+            np.add.reduce(reduce[0], axis=-1, out=reduce[1])
 
 
-def _solve_arm(mdp: SubsidizedArmMDP, subsidies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _arm_plan(mdp: SubsidizedArmMDP, n: int) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    """A :func:`_plan` of the subsidized arm over ``n`` subsidies, and the
+    ``(passive, values)`` arrays of shape (horizon+1, max_backlog+1, n)
+    into whose entry tau it writes level tau."""
+    shape = (mdp.horizon + 1, mdp.max_backlog + 1, n)
+    passive = np.empty(shape, dtype=bool)
+    values = np.empty(shape)
+    e_work, deadline = _work_terms(mdp.e_saving, mdp.capacity, mdp.penalty.table(mdp.max_backlog))
+    out = [(values[tau : tau + 1], passive[tau]) for tau in range(1, mdp.horizon + 1)]
+    return _plan(e_work, mdp.capacity, np.empty((3, *shape[1:])), out, deadline), passive, values
+
+
+def _solve_arm(
+    mdp: SubsidizedArmMDP,
+    subsidies: np.ndarray,
+    planned: Optional[tuple[_Plan, np.ndarray, np.ndarray]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact backward induction of the subsidized arm for a batch of subsidies.
 
     Returns ``(passive, values)`` arrays of shape
-    ``(len(subsidies), horizon+1, max_backlog+1)``.
+    ``(len(subsidies), horizon+1, max_backlog+1)``.  With ``planned``, an
+    :func:`_arm_plan` for that many subsidies, they are views of its
+    arrays, which the next call with it overwrites.
     """
     d = np.asarray(subsidies, dtype=np.float64)
     # filled as (tau, backlog, subsidy), returned as a transposed view
-    shape = (mdp.horizon + 1, mdp.max_backlog + 1, d.size)
-    passive = np.empty(shape, dtype=bool)
-    values = np.empty(shape)
+    plan, passive, values = _arm_plan(mdp, d.size) if planned is None else planned
     # tau = 0: one-shot comparison at the idle state (subsidy vs nothing)
     passive[0] = d >= 0.0
     values[0] = np.maximum(d, 0.0)
-    e_work, deadline = _work_terms(mdp.e_saving, mdp.capacity, mdp.penalty.table(mdp.max_backlog))
-    levels = _induction(d, e_work, mdp.capacity, mdp.horizon, mdp.discount, deadline, derivative=False)
-    for tau, (p, v, _) in enumerate(levels, start=1):
-        passive[tau] = p
-        values[tau] = v
+    _induction(plan, d, mdp.discount)
     return passive.transpose(2, 0, 1), values.transpose(2, 0, 1)
 
 
@@ -512,9 +570,10 @@ def subsidy_threshold_table(
         raise RuntimeError("threshold bracket failure on the state grid")
 
     steps = int(math.ceil(math.log2(max(2.0 * width / tol, 2.0))))
+    planned = _arm_plan(mdp, n)  # one plan serves every step
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        passive, _ = _solve_arm(mdp, mid)
+        passive, _ = _solve_arm(mdp, mid, planned)
         hit = passive[np.arange(n), taus, bs]
         hi = np.where(hit, mid, hi)
         lo = np.where(hit, lo, mid)
@@ -692,49 +751,61 @@ def _arm_groups(arms: Sequence[ArmChain], beta: float, horizon: Optional[int] = 
     return laws
 
 
-def _level_means(
-    group: _ArmGroup,
-    delta: float,
-    beta: float,
-    n_levels: int,
-    with_deadline: bool,
-    work: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
+def _group_plan(
+    group: _ArmGroup, n_levels: int, with_deadline: bool, work: tuple[np.ndarray, np.ndarray]
+) -> _Plan:
+    """The :func:`_plan` of one group's ``n_levels``-level induction in
+    ``work``, a :func:`_workspace` at least as large as the group, on the
+    rows each level can reach, summing each level's value and derivative
+    rows over the arms."""
+    floats, mask = work
+    rows, cols = group.e_work.shape
+    size = rows * cols
+    both = floats[:2, :size].reshape(2, rows, cols)  # value and derivative, every level
+    return _plan(
+        group.e_work,
+        group.capacity,
+        floats[2:, :size].reshape(3, rows, cols),
+        [(both, mask[:size].reshape(rows, cols))] * n_levels,
+        group.deadline if with_deadline else None,
+        group.reach[n_levels],
+        sums=True,
+    )
+
+
+def _group_plans(laws: Sequence[_ArrivalLaw]) -> list[list[tuple[_Plan, Optional[_Plan]]]]:
+    """Per law and group, the plans of its deadline induction and, with a
+    horizon map, of its truncated one, all in one workspace sized for the
+    largest group."""
+    work = _workspace(max(group.e_work.size for law in laws for group in law.groups))
+    plans = []
+    for law in laws:
+        n_levels = len(law.dur_probs)
+        pairs = []
+        for group in law.groups:
+            truncated = None if law.horizon_map is None else _group_plan(group, n_levels - 1, False, work)
+            pairs.append((_group_plan(group, n_levels, True, work), truncated))
+        plans.append(pairs)
+    return plans
+
+
+def _level_means(group: _ArmGroup, plan: _Plan, delta: float, beta: float) -> np.ndarray:
     """Arm-summed expected within-task values at arrival and their
     derivatives in the subsidy, one column per task length.
 
-    One :func:`_induction` at one subsidy over a group of arms, in ``work``
-    when given, on the rows each level can reach.  Returns
-    shape (2, ``n_levels``): out[0, d-1] = sum_a E_{B|d, e}[value of a
-    d-level task] and out[1, d-1] its derivative, the expected discounted
-    number of passive slots.
+    One run of the group's :func:`_group_plan` at one subsidy.  Returns
+    shape (2, levels): out[0, d-1] = sum_a E_{B|d, e}[value of a d-level
+    task] and out[1, d-1] its derivative, the expected discounted number of
+    passive slots.
 
-    The value and derivative rows are adjacent in the workspace, so one
-    sum per level reduces both over the arms; each is then dotted with the
-    level's full size row, on which the rows beyond the reach have
-    probability 0 and sum to 0.
+    The run leaves, per level, the value and derivative rows summed over
+    the arms in ``plan.sums``; one ``vecdot`` dots each with the level's
+    full size row, on which the rows beyond the reach have probability 0
+    and sum to 0.  It runs the same dot kernel as ``probs @ sums`` per
+    level, so the bits are those of the per-level dots.
     """
-    if work is None:
-        work = _workspace(group.e_work.size)
-    rows, cols = group.e_work.shape
-    both = work[0][:2, : rows * cols].reshape(2, rows, cols)  # v and dv of _induction
-    levels = _induction(
-        delta, group.e_work, group.capacity, n_levels, beta,
-        group.deadline if with_deadline else None, work=work, reach=group.reach[n_levels],
-    )
-    sums = np.zeros((2, rows - 1))
-    filled = 0  # rows of sums holding a level's sums
-    out = np.zeros((2, n_levels))
-    for level, (_, v, _) in enumerate(levels):
-        r = len(v) - 1  # rows with work computed at this level
-        np.sum(both[:, 1 : r + 1], axis=-1, out=sums[:, :r])
-        if r < filled:
-            sums[:, r:filled] = 0.0
-        filled = r
-        probs = group.size_probs[level]
-        out[0, level] = probs @ sums[0]
-        out[1, level] = probs @ sums[1]
-    return out / group.n_samples
+    _induction(plan, delta, beta)
+    return np.vecdot(plan.sums, group.size_probs[: plan.sums.shape[1]]) / group.n_samples
 
 
 def _finite_chain_values(
@@ -792,7 +863,7 @@ def _group_terms(
     laws: Sequence[_ArrivalLaw],
     delta: float,
     beta: float,
-    work: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    plans: Optional[list[list[tuple[_Plan, Optional[_Plan]]]]] = None,
 ) -> np.ndarray:
     """Sum over the grouped arms of the value at subsidy ``delta`` and its
     derivative, as ``array([value, derivative])``.
@@ -803,18 +874,21 @@ def _group_terms(
     and the finite-horizon value is the law's horizon map applied to them.
     The truncated tables stop one level short of the deadline tables: the
     horizon recursion never reads their last level.  Every group's
-    induction runs in ``work`` when it is given.
+    inductions run on ``plans``, from :func:`_group_plans` (built for this
+    call when None).
     """
+    if plans is None:
+        plans = _group_plans(laws)
     idle_gain = np.array([max(delta, 0.0), 1.0 if delta > 0.0 else 0.0])
     total = np.zeros(2)
-    for law in laws:
+    for law, law_plans in zip(laws, plans):
         n_levels = len(law.dur_probs)
         c = law.horizon_map
         gbar = hbar = 0.0
-        for group in law.groups:
-            gbar = gbar + _level_means(group, delta, beta, n_levels, True, work)
+        for group, (with_deadline, truncated) in zip(law.groups, law_plans):
+            gbar = gbar + _level_means(group, with_deadline, delta, beta)
             if c is not None:
-                hbar = hbar + _level_means(group, delta, beta, n_levels - 1, False, work)
+                hbar = hbar + _level_means(group, truncated, delta, beta)
         idle = law.n_arms * idle_gain
         if c is None:
             q = law.arrival_prob
@@ -887,10 +961,10 @@ def relaxed_upper_bound(
         for a in arms
     )
     laws = _arm_groups(arms, discount, horizon)
-    work = _workspace(max(group.e_work.size for law in laws for group in law.groups))
+    plans = _group_plans(laws)  # every dual evaluation runs these
 
     def dual(delta: float) -> tuple[float, float, float]:
-        value, passive_time = _group_terms(laws, delta, discount, work)
+        value, passive_time = _group_terms(laws, delta, discount, plans)
         return delta, float(value) - slope * delta, float(passive_time) - slope
 
     lo, hi = dual(-width), dual(width)  # (delta, g, g') at the bracket's ends

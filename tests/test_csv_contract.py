@@ -10,7 +10,8 @@ fig8's prior-swapping cell off its preset, through the MH kernel's
 gaussian-truth and paper-variant paths.  The relaxed bound is also
 pinned on its own at the paper size, where a group of arms sharing a
 capacity holds dozens of arms; there the dual search's evaluations are
-also counted against the sign bisection it replaced.  The index-vs-oracle
+also counted against the sign bisection it replaced, and the induction
+plans a bound builds are counted against its arm groups.  The index-vs-oracle
 grid that ``verify-index`` writes is pinned the same way, so the subsidy
 threshold oracle is held to its exact bits too.
 """
@@ -24,7 +25,7 @@ from whittle_oracles import relaxed_upper_bound_reference
 from edgebandit import harness, whittle
 from edgebandit.cli import main
 from edgebandit.config import ExperimentCell, apply_overrides, preset_cells
-from edgebandit.harness import compute_relaxed_bound, emit_csv, run_experiment
+from edgebandit.harness import build_arm_chains, compute_relaxed_bound, emit_csv, run_experiment
 
 SMALL = {"num_users": 8, "num_servers": 3, "horizon": 12}
 
@@ -122,3 +123,25 @@ def test_bound_evaluations_below_bisection(preset, seed, horizon, monkeypatch):
         compute_relaxed_bound(config, seed, horizon=horizon)
         counts.append(len(calls))
     assert 0 < counts[0] < counts[1], counts
+
+
+@pytest.mark.parametrize("preset,seed,horizon", list(BOUNDS), ids=[f"{p}-{s}-{h}" for p, s, h in BOUNDS])
+def test_bound_plans_built_once_per_group(preset, seed, horizon, monkeypatch):
+    # plans counted, not timed: each arm group's deadline induction and,
+    # with a horizon, its truncated one are planned once per bound and
+    # run at every dual evaluation
+    config = preset_cells(preset)[0].config
+    calls = {"_plan": 0, "_group_terms": 0}
+    for name in calls:
+        original = getattr(whittle, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(whittle, name, counted)
+    compute_relaxed_bound(config, seed, horizon=horizon)
+    laws = whittle._arm_groups(build_arm_chains(config, seed), config.discount)
+    groups = sum(len(law.groups) for law in laws)
+    assert calls["_group_terms"] > 2
+    assert calls["_plan"] == groups * (1 if horizon is None else 2), (calls, groups)

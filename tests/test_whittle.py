@@ -32,6 +32,8 @@ from edgebandit.whittle import (
     ArmChain,
     SubsidizedArmMDP,
     _arm_groups,
+    _group_plan,
+    _group_plans,
     _group_terms,
     _index_tables,
     _level_means,
@@ -644,7 +646,7 @@ class TestHorizonMapAndWorkspace:
                 esav = np.stack([a.esav_values for a in members])
                 proto = members[0]
                 for with_deadline in (True, False):
-                    got = _level_means(group, delta, 0.9, 3, with_deadline, work)
+                    got = _level_means(group, _group_plan(group, 3, with_deadline, work), delta, 0.9)
                     ref = level_means_reference(
                         esav, proto.capacity, proto.penalty, proto.size_probs, delta, 0.9, with_deadline
                     )
@@ -698,12 +700,47 @@ class TestReach:
         esav = np.stack([a.esav_values for a in arms])
         proto = arms[0]
         work = _workspace(group.e_work.size)
+        plans = {levels: _group_plan(group, levels, levels == n_levels, work) for levels in (n_levels, n_levels - 1)}
         for delta in deltas:
             for levels, with_deadline in ((n_levels, True), (n_levels - 1, False)):
-                got = _level_means(group, delta, beta, levels, with_deadline, work)
+                got = _level_means(group, plans[levels], delta, beta)
                 ref = level_means_reference(
                     esav, proto.capacity, proto.penalty, proto.size_probs[:levels], delta, beta, with_deadline
                 )
+                assert got.tobytes() == ref.tobytes()
+
+    @given(
+        st.lists(windowed_arms(), min_size=2, max_size=3).map(lambda sets: [a for arms in sets for a in arms]),
+        st.lists(st.one_of(st.floats(-4.0, 4.0), EXACT_TIES), min_size=2, max_size=4),
+        st.floats(0.5, 0.98),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_plans_on_one_workspace_in_alternating_order(self, arms, deltas, beta):
+        # every group's plans view one workspace sized for the widest; the
+        # groups take turns in alternating order, so each run starts from
+        # what another group (of another width and reach) left there
+        laws = _arm_groups(arms, beta, 12)
+        plans = _group_plans(laws)
+        by_law: dict = {}  # the reference's groups, law by law, as _arm_groups orders them
+        for key, group_arms in arm_groups_reference(arms).items():
+            by_law.setdefault(key[:2], []).append(group_arms)
+        members = [group_arms for groups in by_law.values() for group_arms in groups]
+        runs = []  # (group, plan, its arms, levels, with deadline), law by law
+        for law, law_plans in zip(laws, plans):
+            n_levels = len(law.dur_probs)
+            for group, (deadline_plan, truncated_plan) in zip(law.groups, law_plans):
+                group_arms = members.pop(0)
+                runs.append((group, deadline_plan, group_arms, n_levels, True))
+                runs.append((group, truncated_plan, group_arms, n_levels - 1, False))
+        assert not members
+        for i, delta in enumerate(deltas):
+            for group, plan, group_arms, n_levels, with_deadline in runs[:: 1 if i % 2 else -1]:
+                proto = group_arms[0]
+                got = _level_means(group, plan, delta, beta)
+                ref = level_means_reference(
+                    np.stack([a.esav_values for a in group_arms]),
+                    proto.capacity, proto.penalty, proto.size_probs[:n_levels], delta, beta, with_deadline,
+                )  # fmt: skip
                 assert got.tobytes() == ref.tobytes()
 
     def test_reach_of_a_hand_computed_group(self, monkeypatch):
@@ -721,11 +758,13 @@ class TestReach:
         rows = []
         induction = whittle._induction
 
-        def counted(*args, **kwargs):
-            for passive, v, dv in induction(*args, **kwargs):
-                assert passive.shape == v.shape == dv.shape
+        def counted(plan, *args):
+            # the rows each planned level computes: its passive, value and
+            # derivative views
+            for _, _, passive, v, d, _ in plan.levels:
+                assert passive.shape == v.shape == d[-1].shape
                 rows.append(len(v))
-                yield passive, v, dv
+            return induction(plan, *args)
 
         monkeypatch.setattr(whittle, "_induction", counted)
         _group_terms([law], 0.2, 0.99)
