@@ -22,7 +22,7 @@ One within-task backward induction, :func:`_induction`, serves both the
 oracle and the indexability check (a batch of subsidies on its trailing
 axis) and the relaxed bound (one subsidy, a group of arms' saving samples
 on its trailing axis).  It runs in two parts.  A plan (:func:`_plan`)
-holds, level by level, the views of the workspace that each call reads
+holds, level by level (:class:`_Level`), the views of the workspace that each call reads
 and writes, fixed by the shape, capacity, levels, reach and deadline.  A
 run calls the same ufuncs on those views with ``out=``, at one subsidy.
 Each level multiplies the previous values by the discount once, reads the
@@ -30,8 +30,7 @@ passive (b-1) and active (b-capacity) successor rows as slices clamped at
 the empty row, takes the value as the maximum of the two actions and
 selects the derivative in place.  The terms that do not depend on the
 subsidy (the saving on rows with work, the deadline level and the plan)
-are built once: per call for the oracle (one plan serves every bisection
-step of :func:`subsidy_threshold_table`), and per bound for the relaxed
+are built once: per call for the oracle, and per bound for the relaxed
 bound, which groups and stacks its arms once (:func:`_arm_groups`), plans
 each group's deadline and truncated inductions once (:func:`_group_plans`)
 and runs them at every subsidy of its dual search.  Each arrival law also
@@ -390,11 +389,51 @@ def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((_WORK_ROWS, size)), np.empty(size, dtype=bool)
 
 
+@dataclass(frozen=True, slots=True)  # slots: a run reads ~35 fields per level
+class _Level:
+    """The views one level of :func:`_induction` reads and writes, built by
+    :func:`_plan`; a field the level does not use is None.  ``r`` rows are
+    computed, ``a`` of them have the empty row as active successor, and
+    ``m`` rows of the previous level are read."""
+
+    q0: np.ndarray  # the passive value (then dq0), rows :r
+    q1: np.ndarray  # the active value, rows :r
+    passive: np.ndarray  # the passive mask, rows :r
+    v: np.ndarray  # the value, rows :r
+    dv: Optional[np.ndarray]  # the derivative, rows :r, when carried
+    # the deadline level: the penalty charged when passive
+    pen_passive: Optional[np.ndarray] = None
+    # every other level: the previous level's rows :m
+    v_prev: Optional[np.ndarray] = None
+    dv_prev: Optional[np.ndarray] = None
+    # the discounted previous value (then derivative): rows :m, the empty
+    # row, the passive successors :r-1 and the active ones 1:r-a+1
+    bv: Optional[np.ndarray] = None
+    bv_empty: Optional[np.ndarray] = None
+    bv_passive: Optional[np.ndarray] = None
+    bv_active: Optional[np.ndarray] = None
+    # q0 on the empty row and on rows 1:r
+    q0_empty: Optional[np.ndarray] = None
+    q0_rest: Optional[np.ndarray] = None
+    # the saving on rows :a and on every row with work, and q1 on rows :a
+    # and a:r
+    e_empty: Optional[np.ndarray] = None
+    e_row: Optional[np.ndarray] = None
+    q1_empty: Optional[np.ndarray] = None
+    q1_rest: Optional[np.ndarray] = None
+    # the derivative on rows :a and a:r
+    dv_empty: Optional[np.ndarray] = None
+    dv_rest: Optional[np.ndarray] = None
+    # with sums: the value and derivative rows 1:r, and their sums over X
+    vd_work: Optional[np.ndarray] = None
+    sums: Optional[np.ndarray] = None
+
+
 class _Plan(NamedTuple):
     """The views one :func:`_induction` reads and writes (:func:`_plan`)."""
 
     zero: Optional[np.ndarray]  # the zero continuation the first level reads
-    levels: tuple[tuple, ...]  # per level, (first, q, passive, value, derivative, reduce)
+    levels: tuple[_Level, ...]
     sums: Optional[np.ndarray]  # (2, levels, backlog rows with work)
 
 
@@ -434,24 +473,27 @@ def _plan(
     levels = []
     prev = out[0][0] if out else None  # with no deadline, the first level reads its own rows
     for level, (vd, passive) in enumerate(out, start=1):
-        first = deadline is not None and level == 1
         r = rows if reach is None else reach[level - 1] + 1  # rows computed
         a = min(k + 1, r)  # of them, those whose active successor is the empty row
         m = max(r - 1, 1)  # rows of the previous level read
-        v, dv = vd[0], (vd[1] if len(vd) == 2 else None)
-        reduce = None if totals is None else (vd[:, 1:r], totals[:, level - 1, : r - 1])
-        if first:
-            q = (deadline[0][:r], q0[:r], deadline[1][:r])  # q1 is the active value itself
-            d = None if dv is None else (dv[:r],)
+        dv = vd[1] if len(vd) == 2 else None
+        views = dict(q0=q0[:r], passive=passive[:r], v=vd[0, :r], dv=None if dv is None else dv[:r])
+        if totals is not None:
+            views.update(vd_work=vd[:, 1:r], sums=totals[:, level - 1, : r - 1])
+        if deadline is not None and level == 1:
+            # q1 is the active value itself
+            views.update(pen_passive=deadline[0][:r], q1=deadline[1][:r])
         else:
             if level == 1:
                 zero = prev[:, :m]
-            q = (
-                prev[0, :m], bv[:m], bv[:1], q0[:1], bv[: r - 1], q0[1:r],
-                e_work[:a], q1[:a], e_row, bv[1 : r - a + 1], q1[a:r], q0[:r], q1[:r],
+            views.update(
+                q1=q1[:r], v_prev=prev[0, :m], bv=bv[:m], bv_empty=bv[:1], bv_passive=bv[: r - 1],
+                bv_active=bv[1 : r - a + 1], q0_empty=q0[:1], q0_rest=q0[1:r], e_empty=e_work[:a],
+                e_row=e_row, q1_empty=q1[:a], q1_rest=q1[a:r],
             )  # fmt: skip
-            d = None if dv is None else (prev[1, :m], dv[:a], dv[a:r], dv[:r])
-        levels.append((first, q, passive[:r], v[:r], d, reduce))
+            if dv is not None:
+                views.update(dv_prev=prev[1, :m], dv_empty=dv[:a], dv_rest=dv[a:r])
+        levels.append(_Level(**views))
         prev = vd
     return _Plan(zero, tuple(levels), totals)
 
@@ -474,66 +516,50 @@ def _induction(plan: _Plan, delta, beta: float) -> None:
     """
     if plan.zero is not None:
         plan.zero.fill(0.0)
-    for first, q, passive, v, d, reduce in plan.levels:
+    for lv in plan.levels:
+        first = lv.pen_passive is not None
         if first:
-            pen_passive, q0, q1 = q
-            np.subtract(delta, pen_passive, out=q0)
+            np.subtract(delta, lv.pen_passive, out=lv.q0)
         else:
-            (v_prev, bv, bv_empty, q0_empty, bv_passive, q0_rest,
-             e_empty, q1_empty, e_row, bv_active, q1_rest, q0, q1) = q  # fmt: skip
-            np.multiply(v_prev, beta, out=bv)
-            np.add(delta, bv_empty, out=q0_empty)
-            np.add(delta, bv_passive, out=q0_rest)
-            np.add(e_empty, bv_empty, out=q1_empty)
-            np.add(e_row, bv_active, out=q1_rest)
-        np.greater_equal(q0, q1, out=passive)
-        np.maximum(q0, q1, out=v)
-        if d is not None:
+            np.multiply(lv.v_prev, beta, out=lv.bv)
+            np.add(delta, lv.bv_empty, out=lv.q0_empty)
+            np.add(delta, lv.bv_passive, out=lv.q0_rest)
+            np.add(lv.e_empty, lv.bv_empty, out=lv.q1_empty)
+            np.add(lv.e_row, lv.bv_active, out=lv.q1_rest)
+        np.greater_equal(lv.q0, lv.q1, out=lv.passive)
+        np.maximum(lv.q0, lv.q1, out=lv.v)
+        if lv.dv is not None:
             if first:  # one passive slot or none, then the deadline
-                np.copyto(d[0], passive)
+                np.copyto(lv.dv, lv.passive)
             else:  # the discounted derivative in bv's views, dq0 in q0's
-                dv_prev, dv_empty, dv_rest, dv = d
-                np.multiply(dv_prev, beta, out=bv)
-                np.add(1.0, bv_empty, out=q0_empty)
-                np.add(1.0, bv_passive, out=q0_rest)
-                np.copyto(dv_empty, bv_empty)
-                np.copyto(dv_rest, bv_active)
-                np.copyto(dv, q0, where=passive)
-        if reduce is not None:
-            np.add.reduce(reduce[0], axis=-1, out=reduce[1])
+                np.multiply(lv.dv_prev, beta, out=lv.bv)
+                np.add(1.0, lv.bv_empty, out=lv.q0_empty)
+                np.add(1.0, lv.bv_passive, out=lv.q0_rest)
+                np.copyto(lv.dv_empty, lv.bv_empty)
+                np.copyto(lv.dv_rest, lv.bv_active)
+                np.copyto(lv.dv, lv.q0, where=lv.passive)
+        if lv.sums is not None:
+            np.add.reduce(lv.vd_work, axis=-1, out=lv.sums)
 
 
-def _arm_plan(mdp: SubsidizedArmMDP, n: int) -> tuple[_Plan, np.ndarray, np.ndarray]:
-    """A :func:`_plan` of the subsidized arm over ``n`` subsidies, and the
-    ``(passive, values)`` arrays of shape (horizon+1, max_backlog+1, n)
-    into whose entry tau it writes level tau."""
-    shape = (mdp.horizon + 1, mdp.max_backlog + 1, n)
-    passive = np.empty(shape, dtype=bool)
-    values = np.empty(shape)
-    e_work, deadline = _work_terms(mdp.e_saving, mdp.capacity, mdp.penalty.table(mdp.max_backlog))
-    out = [(values[tau : tau + 1], passive[tau]) for tau in range(1, mdp.horizon + 1)]
-    return _plan(e_work, mdp.capacity, np.empty((3, *shape[1:])), out, deadline), passive, values
-
-
-def _solve_arm(
-    mdp: SubsidizedArmMDP,
-    subsidies: np.ndarray,
-    planned: Optional[tuple[_Plan, np.ndarray, np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve_arm(mdp: SubsidizedArmMDP, subsidies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact backward induction of the subsidized arm for a batch of subsidies.
 
     Returns ``(passive, values)`` arrays of shape
-    ``(len(subsidies), horizon+1, max_backlog+1)``.  With ``planned``, an
-    :func:`_arm_plan` for that many subsidies, they are views of its
-    arrays, which the next call with it overwrites.
+    ``(len(subsidies), horizon+1, max_backlog+1)``.
     """
     d = np.asarray(subsidies, dtype=np.float64)
     # filled as (tau, backlog, subsidy), returned as a transposed view
-    plan, passive, values = _arm_plan(mdp, d.size) if planned is None else planned
+    shape = (mdp.horizon + 1, mdp.max_backlog + 1, d.size)
+    passive = np.empty(shape, dtype=bool)
+    values = np.empty(shape)
     # tau = 0: one-shot comparison at the idle state (subsidy vs nothing)
     passive[0] = d >= 0.0
     values[0] = np.maximum(d, 0.0)
-    _induction(plan, d, mdp.discount)
+    e_work, deadline = _work_terms(mdp.e_saving, mdp.capacity, mdp.penalty.table(mdp.max_backlog))
+    # the plan writes level tau straight into entry tau
+    out = [(values[tau : tau + 1], passive[tau]) for tau in range(1, mdp.horizon + 1)]
+    _induction(_plan(e_work, mdp.capacity, np.empty((3, *shape[1:])), out, deadline), d, mdp.discount)
     return passive.transpose(2, 0, 1), values.transpose(2, 0, 1)
 
 
@@ -570,10 +596,9 @@ def subsidy_threshold_table(
         raise RuntimeError("threshold bracket failure on the state grid")
 
     steps = int(math.ceil(math.log2(max(2.0 * width / tol, 2.0))))
-    planned = _arm_plan(mdp, n)  # one plan serves every step
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        passive, _ = _solve_arm(mdp, mid, planned)
+        passive, _ = _solve_arm(mdp, mid)
         hit = passive[np.arange(n), taus, bs]
         hi = np.where(hit, mid, hi)
         lo = np.where(hit, lo, mid)
@@ -885,8 +910,8 @@ def _group_terms(
         n_levels = len(law.dur_probs)
         c = law.horizon_map
         gbar = hbar = 0.0
-        for group, (with_deadline, truncated) in zip(law.groups, law_plans):
-            gbar = gbar + _level_means(group, with_deadline, delta, beta)
+        for group, (deadline_plan, truncated) in zip(law.groups, law_plans):
+            gbar = gbar + _level_means(group, deadline_plan, delta, beta)
             if c is not None:
                 hbar = hbar + _level_means(group, truncated, delta, beta)
         idle = law.n_arms * idle_gain

@@ -761,9 +761,9 @@ class TestReach:
         def counted(plan, *args):
             # the rows each planned level computes: its passive, value and
             # derivative views
-            for _, _, passive, v, d, _ in plan.levels:
-                assert passive.shape == v.shape == d[-1].shape
-                rows.append(len(v))
+            for level in plan.levels:
+                assert level.passive.shape == level.v.shape == level.dv.shape
+                rows.append(len(level.v))
             return induction(plan, *args)
 
         monkeypatch.setattr(whittle, "_induction", counted)
