@@ -22,9 +22,10 @@ One within-task backward induction, :func:`_induction`, serves both the
 oracle and the indexability check (a batch of subsidies on its trailing
 axis) and the relaxed bound (one subsidy, a group of arms' saving samples
 on its trailing axis).  It runs in two parts.  A plan (:func:`_plan`)
-holds, level by level (:class:`_Level`), the views of the workspace that each call reads
-and writes, fixed by the shape, capacity, levels, reach and deadline.  A
-run calls the same ufuncs on those views with ``out=``, at one subsidy.
+holds, level by level, the views of the workspace that each call reads
+and writes, named by the fields of a :class:`_Level` and fixed by the
+shape, capacity, levels, reach and deadline.  A run calls the same
+ufuncs on those views with ``out=``, at one subsidy.
 Each level multiplies the previous values by the discount once, reads the
 passive (b-1) and active (b-capacity) successor rows as slices clamped at
 the empty row, takes the value as the maximum of the two actions and
