@@ -5,6 +5,7 @@ measurement noise against a slot-by-slot replay, experiment sweeps, and
 CSV round-trips."""
 
 import dataclasses
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -76,6 +77,20 @@ USER_ARRAYS = ("capacities", "e_locals", "noise_vars", "path_ratios", "tx_powers
 
 def cfg(**kw) -> SimConfig:
     return apply_overrides(SimConfig(), {**FAST, **kw})
+
+
+# sha256 of the estimate trace of one seed-2 episode per (estimator, estimate
+# mode, fading period); see TestEpisode.test_estimate_trace_digest
+TRACE_DIGESTS = {
+    ("mle", "mean", 0): "63d362d82ddf1c80d4b4502e6b8fa270259a9db47d0771a2761fdadfb9d5fba3",
+    ("mle", "mean", 5): "b92458a7f2e6585d7dccb3dc2b8f1c19ec0647e405bb36cb9e488306bb923fb0",
+    ("bl", "mean", 0): "25c62d5e497a80fd38b6ccf45a13bd53d0c27a76170bb36b9bc0636b6f73cdd9",
+    ("bl", "mean", 5): "6af9e857a5c0bb086eb722a4ec256acc030cf9766256def11b22d487da6d96d8",
+    ("bl", "sample", 0): "6a82564d3578b02278538d81b556e177a6cbba43a2337cdc3abfa336147983fd",
+    ("bl", "sample", 5): "78e5f4dd3d7f85ef08d413aaaa9f803ee01fb8f18525235c398933535ae276ae",
+    ("psbl", "mean", 0): "65bf4dd4278f26c92823241be7e3ba1b4092ef4b550a0ef3d20ca1c583fd38df",
+    ("psbl", "mean", 5): "a4c5212c1afa50548049ca96673ce50deb98187fbfa3ba79da517541164f5705",
+}
 
 
 class TestScenario:
@@ -286,6 +301,25 @@ class TestEpisode:
         slot, user, est, truth = lines[1].split(",")
         assert (slot, user) == ("0", "0")
         float(est), float(truth)
+
+    @pytest.mark.parametrize("fading", [0, 5])
+    @pytest.mark.parametrize("estimator,mode", [("mle", "mean"), ("bl", "mean"), ("bl", "sample"), ("psbl", "mean")])
+    def test_estimate_trace_digest(self, tmp_path, estimator, mode, fading):
+        # every estimate of every slot, byte for byte: pins each learner's
+        # arithmetic and its draws from the policy stream
+        c = cfg(
+            num_users=8,
+            num_servers=3,
+            horizon=30,
+            energy_truth="laplace",
+            estimator=estimator,
+            bl_estimate=mode,
+            fading_period_slots=fading,
+            estimate_trace_path=str(tmp_path / "trace-{seed}.csv"),
+        )
+        run_episode(c, 2)
+        digest = hashlib.sha256((tmp_path / "trace-2.csv").read_bytes()).hexdigest()
+        assert digest == TRACE_DIGESTS[estimator, mode, fading]
 
     def test_common_random_numbers_reduce_variance(self):
         seeds = range(12)
