@@ -222,12 +222,6 @@ def _unit_fading_errors(cfg: SimConfig, scn: Scenario, users: np.ndarray) -> lis
     ]
 
 
-def _true_prior_spec(cfg: SimConfig) -> PriorSpec:
-    if cfg.energy_truth == "laplace":
-        return PriorSpec(kind="laplace", location=cfg.truth_location, scale=cfg.truth_spread)
-    return PriorSpec(kind="gaussian", location=cfg.truth_location, scale=cfg.truth_spread)
-
-
 def _size_window(cfg: SimConfig, capacity: int, duration: int) -> tuple[int, int]:
     """Inclusive size range for one drawn duration under the config's rule."""
     if cfg.task_size_rule == "uniform":
@@ -468,90 +462,26 @@ def _shared_noise(cfg: SimConfig, seed: int) -> np.ndarray:
     return drawn.noise
 
 
-class _PsblBatch:
-    """The Metropolis-Hastings kernel of the prior-swapping learner.
+# the prior-swapping learner stays importable as ``harness._PsblBatch``, whose
+# ``refresh`` the benchmark tracer hooks; the MH kernel is that refresh
+_PsblBatch = PriorSwapWhittleEstimator
 
-    Advances every user's chain in lockstep, reading and writing the
-    learner's arrays.  Chains are independent across users, so one
-    vectorised sweep per slot is exact; proposals come from the shared
-    policy stream.  Steps are independent Gaussians on (saving, log
-    variance), a symmetric proposal, so MH reads only the difference of
-    one user's target at two points of a slot; rejection keeps the state.
-    Each user's constants drop from the target (the normalisers of the
-    conjugate posterior and both priors), leaving, with the log-variance
-    Jacobian, t(s, v) = k(s) - nu v - S(s) exp(-v): k the true prior's log
-    kernel, S(s) = phi0 + ss + n (s - xbar)^2 / 2 (ss = m2 / 2, or m2 under
-    the paper variant) = lam (s - mu)^2 / 2 + phi - lam0 (s - mu0)^2 / 2 >= phi0.
-    """
-
-    def __init__(self, learner: PriorSwapWhittleEstimator):
-        self.learner = learner
-
-    def _scale(self):
-        """S(s) for every user, from the statistics as they are now."""
-        ps = self.learner
-        base = ps.false_prior.phi + (0.5 * ps.m2 if ps.variant == "textbook" else ps.m2)
-        half_n, xbar = 0.5 * ps.count, ps.mean
-        return lambda sav: base + half_n * (sav - xbar) ** 2
-
-    def _target(self, nu):
-        """The log target at (saving, log variance) for posterior shape ``nu``."""
-        prior, scale = self.learner.true_prior, self._scale()
-
-        def target(sav, logvar):
-            d = sav - prior.location
-            kernel = np.abs(d) / -prior.scale if prior.kind == "laplace" else d * d / (-2.0 * prior.scale)
-            return kernel - nu * logvar - scale(sav) * np.exp(-logvar)
-
-        return target
-
-    def refresh(self, rng: np.random.Generator) -> np.ndarray:
-        ps = self.learner
-        lam, _, phi, nu = ps.posterior()
-        target = self._target(nu)
-        steps, n = ps.burn_in + ps.chain_len, lam.size
-        # proposal scales of (saving, log variance), one row each like the state
-        pf = ps.proposal_factor
-        scales = np.stack((pf * np.sqrt(phi / (lam * nu)), pf / np.sqrt(nu)))
-        # each step draws every saving proposal, then every log-variance one, then every uniform
-        jumps, log_u = np.empty((steps, 2, n)), np.empty((steps, n))
-        for step in range(steps):
-            rng.standard_normal(out=jumps[step])
-            rng.random(out=log_u[step])
-        jumps *= scales
-        np.log(log_u, out=log_u)
-
-        state = ps.chain
-        cur = target(*state)
-        total = np.zeros(n)
-        for step in range(steps):
-            prop = state + jumps[step]
-            cand = target(*prop)
-            accept = log_u[step] < cand - cur
-            np.copyto(state, prop, where=accept)
-            np.copyto(cur, cand, where=accept)
-            if step >= ps.burn_in:
-                total += state[0]
-        ps.chain_mean = total / ps.chain_len
-        return ps.chain_mean
-
-
-def _learner(cfg: SimConfig, n: int):
-    """The episode's learner over all n users, or None for known savings."""
-    if cfg.estimator == "mle":
-        return MleWhittleEstimator(n)
-    if cfg.estimator == "bl":
-        return BayesWhittleEstimator(n, variant=cfg.nig_variant, mode=cfg.bl_estimate)
-    if cfg.estimator == "psbl":
-        return PriorSwapWhittleEstimator(
-            n,
-            true_prior=_true_prior_spec(cfg),
-            chain_len=cfg.mh_samples,
-            burn_in=cfg.mh_burn_in,
-            proposal_factor=cfg.mh_proposal_factor,
-            variant=cfg.nig_variant,
-        )
-    return None
+# each estimator's learner over all n users; "known" has none
+_LEARNERS = {
+    "mle": lambda cfg, n: MleWhittleEstimator(n),
+    "bl": lambda cfg, n: BayesWhittleEstimator(n, variant=cfg.nig_variant, mode=cfg.bl_estimate),
+    "psbl": lambda cfg, n: PriorSwapWhittleEstimator(
+        n,
+        # gaussian under channel truth too
+        true_prior=PriorSpec(
+            "laplace" if cfg.energy_truth == "laplace" else "gaussian", cfg.truth_location, cfg.truth_spread
+        ),
+        chain_len=cfg.mh_samples,
+        burn_in=cfg.mh_burn_in,
+        proposal_factor=cfg.mh_proposal_factor,
+        variant=cfg.nig_variant,
+    ),
+}
 
 
 def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo]:
@@ -566,8 +496,8 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     period = cfg.fading_period_slots
     policy_rng = _stream(cfg.master_seed, seed, 4)
 
-    learner = _learner(cfg, n)
-    psbl = _PsblBatch(learner) if cfg.estimator == "psbl" else None
+    make_learner = _LEARNERS.get(cfg.estimator)  # none for known savings
+    learner = make_learner(cfg, n) if make_learner else None
     noise = _shared_noise(cfg, seed) if learner is not None else None
     noise_sd = np.sqrt(scn.noise_vars)
     # each user's measurements so far; its noise stream runs on across
@@ -593,9 +523,8 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
     deadline_tasks = 0
     completed_tasks = 0
     max_abs_slot_reward = 0.0
-    trace_lines: Optional[list[str]] = None
-    if cfg.estimate_trace_path and learner is not None:
-        trace_lines = ["slot,user,estimate,true_saving"]
+    # each slot's (estimates, true savings), written once the episode ends
+    trace = np.empty((horizon, 2, n)) if cfg.estimate_trace_path and learner is not None else None
 
     for t in range(horizon):
         if period > 0 and t % period == 0:
@@ -606,13 +535,10 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
 
         believed = esav_true
         if learner is not None:
-            if psbl is not None:
-                psbl.refresh(policy_rng)
+            learner.refresh(policy_rng)
             believed = learner.estimate()
-            if trace_lines is not None:
-                trace_lines.extend(
-                    f"{t},{i},{believed[i]:.17g},{esav_true[i]:.17g}" for i in range(n)
-                )
+            if trace is not None:
+                trace[t] = believed, esav_true
 
         fields["tau"] = tau
         fields["backlog"] = backlog
@@ -646,10 +572,7 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
             if users.size:
                 obs = esav_true[users] + noise_sd[users] * noise[users, n_obs[users]]
                 n_obs[users] += 1
-                if cfg.estimator == "bl":
-                    learner.update(users, obs, policy_rng)
-                else:
-                    learner.update(users, obs)
+                learner.update(users, obs, policy_rng)
 
         tau, backlog = slot.tau, slot.backlog
         rows = slice(starts[t], starts[t + 1])
@@ -662,9 +585,11 @@ def _run_episode_full(cfg: SimConfig, seed: int) -> tuple[RunRecord, EpisodeInfo
                 if learner is not None:
                     learner.reset(arrived)
 
-    if trace_lines is not None:
-        trace_path = Path(cfg.estimate_trace_path.format(seed=seed))
-        trace_path.write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+    if trace is not None:
+        lines = ["slot,user,estimate,true_saving"]
+        for t, (estimates, truths) in enumerate(trace.tolist()):
+            lines.extend(f"{t},{i},{b:.17g},{e:.17g}" for i, (b, e) in enumerate(zip(estimates, truths)))
+        Path(cfg.estimate_trace_path.format(seed=seed)).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     ratio = completed_tasks / deadline_tasks if deadline_tasks else 0.0
     record = RunRecord(

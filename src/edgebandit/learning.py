@@ -4,16 +4,20 @@ Three learners feed the Whittle index when the true per-task saving is
 hidden: a running-mean MLE, a conjugate normal-inverse-gamma posterior,
 and a prior-swapping Metropolis-Hastings refinement for non-conjugate
 (e.g. Laplace) priors.  Each learner is one object per episode that keeps
-every user's state in arrays over the N users and is updated once per
-slot, vectorised over the users that offloaded.  The state is a running
-count, mean and centred sum of squares per user (Welford's recurrence),
-so an update costs O(1) whatever the number of observations, and so does
-a decision.
+every user's state in arrays over the N users, and all three share one
+interface: ``reset(users=None)`` at a new task or channel block,
+``refresh(rng)`` before each decision, ``update(users, observations,
+rng)`` after it, vectorised over the users that offloaded, and
+``estimate()`` for the savings the index ranks by.  The state is a
+running count, mean and centred sum of squares per user (Welford's
+recurrence), so an update costs O(1) whatever the number of
+observations, and so does a decision.
 
 Observation model: each offload yields saving + Gaussian noise.  A user's
 statistics (and chain state) reset whenever the channel block (and hence
-the true saving) changes.  Prior swapping's MH kernel
-(``harness._PsblBatch``) needs no normalised density.
+the true saving) changes.  Only prior swapping draws in ``refresh``: its
+Metropolis-Hastings kernel (:meth:`PriorSwapWhittleEstimator.refresh`)
+needs no normalised density.
 """
 
 from __future__ import annotations
@@ -169,6 +173,9 @@ class _UserStats:
         self.mean[at] = 0.0
         self.m2[at] = 0.0
 
+    def refresh(self, rng: np.random.Generator) -> None:
+        """Ready the estimate for a decision; only prior swapping draws."""
+
     def _add(self, users: np.ndarray, observations: np.ndarray) -> None:
         """Welford's step for one new observation of each listed user
         (a user appears at most once)."""
@@ -187,14 +194,30 @@ class MleWhittleEstimator(_UserStats):
         super().__init__(num_users)
         self.init_estimate = init_estimate
 
-    def update(self, users: np.ndarray, observations: np.ndarray) -> None:
+    def update(
+        self, users: np.ndarray, observations: np.ndarray, rng: Optional[np.random.Generator] = None
+    ) -> None:
         self._add(users, observations)
 
     def estimate(self) -> np.ndarray:
         return np.where(self.count > 0, self.mean, self.init_estimate)
 
 
-class BayesWhittleEstimator(_UserStats):
+class _ConjugateStats(_UserStats):
+    """User statistics under a block-start normal-inverse-gamma ``prior``."""
+
+    def __init__(self, num_users: int, prior: NIGParams, variant: str):
+        _check_variant(variant)
+        super().__init__(num_users)
+        self.prior = prior
+        self.variant = variant
+
+    def posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every user's conjugate posterior ``(lam, mu, phi, nu)``."""
+        return nig_posterior(self.prior, self.count, self.mean, self.m2, self.variant)
+
+
+class BayesWhittleEstimator(_ConjugateStats):
     """Conjugate posterior estimator.
 
     Each update refreshes the updated users' posteriors from the
@@ -218,21 +241,14 @@ class BayesWhittleEstimator(_UserStats):
     ):
         if mode not in ("mean", "sample"):
             raise ValueError(f"unknown estimate mode {mode!r}")
-        _check_variant(variant)
-        super().__init__(num_users)
-        self.prior = prior
+        super().__init__(num_users, prior, variant)
         self.init_estimate = init_estimate
-        self.variant = variant
         self.mode = mode
         self._estimate = np.full(num_users, init_estimate)
 
     def reset(self, users: Optional[np.ndarray] = None) -> None:
         super().reset(users)
         self._estimate[slice(None) if users is None else users] = self.init_estimate
-
-    def posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every user's ``(lam, mu, phi, nu)``."""
-        return nig_posterior(self.prior, self.count, self.mean, self.m2, self.variant)
 
     def update(
         self, users: np.ndarray, observations: np.ndarray, rng: Optional[np.random.Generator] = None
@@ -254,17 +270,31 @@ class BayesWhittleEstimator(_UserStats):
         return self._estimate
 
 
-class PriorSwapWhittleEstimator(_UserStats):
+class PriorSwapWhittleEstimator(_ConjugateStats):
     """Prior-swapping estimator for a non-conjugate true prior.
 
-    Keeps the conjugate pseudo-posterior's statistics and, per user, the
-    state (saving, log variance) of a Metropolis-Hastings chain on the
-    swapped density, as the two rows of ``chain``.  The harness's MH
-    kernel advances every chain by ``burn_in + chain_len`` steps per
-    decision and leaves the mean of the last ``chain_len`` saving
-    components in ``chain_mean``, the estimate (the initial saving for a
-    user reset since the last refresh).  Per-decision cost depends only on
-    the chain length, never on the number of observations.
+    Keeps the conjugate pseudo-posterior's statistics under
+    ``false_prior`` (kept as ``prior``) and, per user, the state (saving,
+    log variance) of a
+    Metropolis-Hastings chain on the swapped density, as the two rows of
+    ``chain``.  :meth:`refresh` advances every chain by ``burn_in +
+    chain_len`` steps per decision and leaves the mean of the last
+    ``chain_len`` saving components in ``chain_mean``, the estimate (the
+    initial saving for a user reset since the last refresh).
+    Per-decision cost depends only on the chain length, never on the
+    number of observations.
+
+    The kernel advances every user's chain in lockstep.  Chains are
+    independent across users, so one vectorised sweep per slot is exact;
+    proposals come from the given stream.  Steps are independent
+    Gaussians on (saving, log variance), a symmetric proposal, so MH reads
+    only the difference of one user's target at two points of a slot;
+    rejection keeps the state.  Each user's constants drop from the target
+    (the normalisers of the conjugate posterior and both priors), leaving,
+    with the log-variance Jacobian, t(s, v) = k(s) - nu v - S(s) exp(-v):
+    k the true prior's log kernel, S(s) = phi0 + ss + n (s - xbar)^2 / 2
+    (ss = m2 / 2, or m2 under the paper variant)
+    = lam (s - mu)^2 / 2 + phi - lam0 (s - mu0)^2 / 2 >= phi0.
     """
 
     def __init__(
@@ -284,14 +314,11 @@ class PriorSwapWhittleEstimator(_UserStats):
             raise ValueError("burn_in must be >= 0")
         if init_theta[1] <= 0:
             raise ValueError("initial variance must be > 0")
-        _check_variant(variant)
-        super().__init__(num_users)
+        super().__init__(num_users, false_prior, variant)
         self.true_prior = true_prior
-        self.false_prior = false_prior
         self.chain_len = chain_len
         self.burn_in = burn_in
         self.proposal_factor = proposal_factor
-        self.variant = variant
         self.init_theta = init_theta
         # every user's chain state: row 0 the saving, row 1 the log variance
         self.chain = np.empty((2, num_users))
@@ -313,11 +340,56 @@ class PriorSwapWhittleEstimator(_UserStats):
     def chain_logvar(self) -> np.ndarray:
         return self.chain[1]
 
-    def posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every user's conjugate pseudo-posterior ``(lam, mu, phi, nu)``."""
-        return nig_posterior(self.false_prior, self.count, self.mean, self.m2, self.variant)
+    def _scale(self):
+        """S(s) for every user, from the statistics as they are now."""
+        base = self.prior.phi + (0.5 * self.m2 if self.variant == "textbook" else self.m2)
+        half_n, xbar = 0.5 * self.count, self.mean
+        return lambda sav: base + half_n * (sav - xbar) ** 2
 
-    def update(self, users: np.ndarray, observations: np.ndarray) -> None:
+    def _target(self, nu):
+        """The log target at (saving, log variance) for posterior shape ``nu``."""
+        prior, scale = self.true_prior, self._scale()
+
+        def target(sav, logvar):
+            d = sav - prior.location
+            kernel = np.abs(d) / -prior.scale if prior.kind == "laplace" else d * d / (-2.0 * prior.scale)
+            return kernel - nu * logvar - scale(sav) * np.exp(-logvar)
+
+        return target
+
+    def refresh(self, rng: np.random.Generator) -> np.ndarray:
+        """Advance every chain one decision's worth of steps; the new estimate."""
+        lam, _, phi, nu = self.posterior()
+        target = self._target(nu)
+        steps, n = self.burn_in + self.chain_len, lam.size
+        # proposal scales of (saving, log variance), one row each like the state
+        pf = self.proposal_factor
+        scales = np.stack((pf * np.sqrt(phi / (lam * nu)), pf / np.sqrt(nu)))
+        # each step draws every saving proposal, then every log-variance one, then every uniform
+        jumps, log_u = np.empty((steps, 2, n)), np.empty((steps, n))
+        for step in range(steps):
+            rng.standard_normal(out=jumps[step])
+            rng.random(out=log_u[step])
+        jumps *= scales
+        np.log(log_u, out=log_u)
+
+        state = self.chain
+        cur = target(*state)
+        total = np.zeros(n)
+        for step in range(steps):
+            prop = state + jumps[step]
+            cand = target(*prop)
+            accept = log_u[step] < cand - cur
+            np.copyto(state, prop, where=accept)
+            np.copyto(cur, cand, where=accept)
+            if step >= self.burn_in:
+                total += state[0]
+        self.chain_mean = total / self.chain_len
+        return self.chain_mean
+
+    def update(
+        self, users: np.ndarray, observations: np.ndarray, rng: Optional[np.random.Generator] = None
+    ) -> None:
         self._add(users, observations)
 
     def estimate(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from whittle_oracles import CRITERION_1_PENALTIES
 
 from edgebandit.config import ExperimentCell, SimConfig, apply_overrides, preset_cells
 from edgebandit.dynamics import PenaltyFn
-from edgebandit.harness import _PsblBatch, read_csv, run_experiment
+from edgebandit.harness import read_csv, run_experiment
 from edgebandit.learning import (
     BayesWhittleEstimator,
     MleWhittleEstimator,
@@ -447,12 +447,12 @@ def test_criterion_8_mh():
     w = np.exp(logp - logp.max())
     truth = float((ee * w).sum() / w.sum())
 
-    # 48 independent chains from (1.0, 1.0), one per user, on the batch kernel
+    # 48 independent chains from (1.0, 1.0), one per user, on the learner's kernel
     rng = np.random.default_rng(2)
     chains = PriorSwapWhittleEstimator(48, laplace, false_prior, chain_len=4000, burn_in=200)
     for x in obs:
         chains.update(np.arange(48), np.full(48, x))
-    estimates = _PsblBatch(chains).refresh(rng)
+    estimates = chains.refresh(rng)
     se = estimates.std(ddof=1) / math.sqrt(estimates.size)
     mc_ok = abs(estimates.mean() - truth) <= 3 * se
 
@@ -470,8 +470,8 @@ def test_criterion_8_mh():
         return float(np.median(times))
 
     def per_decision_cost(n_obs):
-        batch = _PsblBatch(one_user(PriorSwapWhittleEstimator(1, laplace, false_prior), n_obs))
-        return median_time(lambda: batch.refresh(rng))
+        learner = one_user(PriorSwapWhittleEstimator(1, laplace, false_prior), n_obs)
+        return median_time(lambda: learner.refresh(rng))
 
     def per_update_cost(make, n_obs):
         learner = one_user(make(), n_obs)

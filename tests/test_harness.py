@@ -38,6 +38,7 @@ from edgebandit.config import (
     preset_cells,
 )
 from edgebandit.harness import (
+    _LEARNERS,
     RunRecord,
     _RawDraws,
     _draw_noise,
@@ -278,6 +279,29 @@ class TestEpisode:
         rec, info = _run_episode_full(c, 1)
         assert info.deadline_tasks > 0
         assert rec.completion_ratio == 1.0
+
+    def test_every_estimator_has_a_learner(self):
+        # probe the documented names, the table's and some that are not
+        # estimators: validation accepts exactly the table's and known
+        names = {"known", "mle", "bl", "psbl", *_LEARNERS, "psbl-exact", "ucb", "MLE", ""}
+        accepted = {e for e in names if f"unknown estimator {e!r}" not in cfg(estimator=e).validation_errors()}
+        assert accepted - {"known"} == set(_LEARNERS)
+        assert "known" in accepted and "known" not in _LEARNERS
+
+    @pytest.mark.parametrize("estimator,mode", [("mle", "mean"), ("bl", "mean"), ("bl", "sample"), ("psbl", "mean")])
+    def test_only_psbl_refresh_draws(self, estimator, mode):
+        # refresh shares the policy stream with bl's sample draws, so a
+        # refresh that consumed a draw would shift every later estimate
+        learner = _LEARNERS[estimator](cfg(estimator=estimator, bl_estimate=mode), 4)
+        r = np.random.default_rng(5)
+        learner.update(np.array([0, 2]), np.array([0.7, 1.9]), r)
+        state, before = r.bit_generator.state, learner.estimate().copy()
+        learner.refresh(r)
+        if estimator == "psbl":
+            assert r.bit_generator.state != state
+            return
+        assert r.bit_generator.state == state
+        np.testing.assert_array_equal(learner.estimate(), before, strict=True)
 
     def test_learning_episode_runs_all_estimators(self):
         for est in ("mle", "bl", "psbl"):

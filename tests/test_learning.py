@@ -29,7 +29,6 @@ from learning_oracles import (
 )
 
 from edgebandit.dynamics import PenaltyFn
-from edgebandit.harness import _PsblBatch
 from edgebandit.learning import (
     INIT_ESTIMATE,
     INIT_PRIOR,
@@ -392,7 +391,7 @@ class TestPriorSwapDensity:
         logs = [log_of(), log_of(1.2, 0.8, 1.5), log_of(-0.4)]
         for i, log in enumerate(logs):
             fed(learner, log.samples, user=i)
-        target = _PsblBatch(learner)._target(learner.posterior()[3])
+        target = learner._target(learner.posterior()[3])
         posts = [nig_update(false_prior, log, variant) for log in logs]
 
         def reference(i, sav, lv):
@@ -429,7 +428,7 @@ class TestPriorSwapDensity:
         # is relative to its largest term
         learner = PriorSwapWhittleEstimator(1, LAPLACE, false_prior=false_prior, variant=variant)
         fed(learner, obs)
-        got = _PsblBatch(learner)._scale()(np.array([sav]))[0]
+        got = learner._scale()(np.array([sav]))[0]
         lam, mu, phi, _ = (float(x[0]) for x in learner.posterior())
         terms = (0.5 * lam * (sav - mu) ** 2, phi, 0.5 * false_prior.lam * (sav - false_prior.mu) ** 2)
         assert got >= false_prior.phi
@@ -437,7 +436,7 @@ class TestPriorSwapDensity:
 
 
 class TestMhKernel:
-    """The reference scalar chain, and the harness's batch kernel against it."""
+    """The reference scalar chain, and the learner's batch kernel against it."""
 
     def test_equal_density_always_accepts(self):
         # variance axis frozen so the transformed target really is flat
@@ -494,7 +493,6 @@ class TestMhKernel:
         # the scalar chain (two normals, then a uniform, per step)
         obs = (1.4, 0.9, 1.8, 1.1)
         learner = PriorSwapWhittleEstimator(1, LAPLACE, chain_len=7, burn_in=burn_in, proposal_factor=1.3)
-        batch = _PsblBatch(learner)
         r_batch, r_ref = rng(17), rng(17)
         theta = (1.0, 1.0)
         for k, x in enumerate(obs):
@@ -509,7 +507,7 @@ class TestMhKernel:
                 burn_in=burn_in,
             )
             theta = samples[-1]
-            got = batch.refresh(r_batch)
+            got = learner.refresh(r_batch)
             assert r_batch.bit_generator.state == r_ref.bit_generator.state
             assert got[0] == pytest.approx(np.mean([s for s, _ in samples]), rel=1e-9)
             assert learner.chain_saving[0] == pytest.approx(theta[0], rel=1e-9)
@@ -544,7 +542,7 @@ class TestMhEstimate:
         users = np.arange(48)
         for x in obs:
             learner.update(users, np.full(48, x))
-        estimates = _PsblBatch(learner).refresh(rng(12))
+        estimates = learner.refresh(rng(12))
         se = estimates.std(ddof=1) / math.sqrt(estimates.size)
         assert abs(estimates.mean() - truth) <= 3 * se
 
@@ -554,11 +552,10 @@ class TestMhEstimate:
 
         def per_decision_cost(n_obs):
             learner = fed(PriorSwapWhittleEstimator(1, LAPLACE, false_prior), r.normal(1.0, 0.8, n_obs))
-            batch = _PsblBatch(learner)
             times = []
             for _ in range(60):
                 t0 = time.perf_counter()
-                batch.refresh(r)
+                learner.refresh(r)
                 times.append(time.perf_counter() - t0)
             return float(np.median(times))
 
@@ -599,14 +596,14 @@ class TestEstimators:
 
     def test_prior_swap_reset_restarts_chain(self):
         learner = fed(PriorSwapWhittleEstimator(2, LAPLACE, init_theta=(0.5, 2.0)), (1.6, 1.7))
-        _PsblBatch(learner).refresh(rng(18))
+        learner.refresh(rng(18))
         learner.reset(np.array([1]))
         assert learner.count.tolist() == [2, 0]
         assert learner.chain_saving[1] == 0.5 and learner.chain_logvar[1] == math.log(2.0)
 
     def test_prior_swap_reset_restarts_estimate(self):
         learner = fed(PriorSwapWhittleEstimator(2, LAPLACE, init_theta=(0.5, 2.0)), (1.6, 1.7))
-        kept = _PsblBatch(learner).refresh(rng(18))[1]
+        kept = learner.refresh(rng(18))[1]
         learner.reset(np.array([0]))
         assert learner.estimate().tolist() == [0.5, kept]
 
@@ -614,8 +611,7 @@ class TestEstimators:
         learner = PriorSwapWhittleEstimator(1, LAPLACE, chain_len=200)
         r = rng(14)
         fed(learner, r.normal(1.6, 0.05, 40))
-        batch = _PsblBatch(learner)
-        values = [batch.refresh(r)[0] for _ in range(30)]
+        values = [learner.refresh(r)[0] for _ in range(30)]
         assert learner.estimate()[0] == values[-1]
         assert np.mean(values) == pytest.approx(1.6, abs=0.1)
 
