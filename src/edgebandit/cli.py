@@ -60,6 +60,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for cell in cells:  # a bad setting is a configuration error, not a failed cell
         cell.config.validate()
     n_seeds = args.seeds if args.seeds is not None else cells[0].config.replications
+    if n_seeds < 1:
+        raise ConfigError("--seeds must be >= 1")
     seeds = list(range(n_seeds))
 
     result = run_experiment(cells, seeds, compute_bound=args.bound, jobs=args.jobs)

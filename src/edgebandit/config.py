@@ -18,10 +18,12 @@ defaults ``SimConfig()`` runs as it is.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from . import mec
 from .dynamics import PenaltyFn
 from .policies import PolicyKind
 
@@ -163,6 +165,37 @@ class SimConfig:
             errs.append("bound_esav_samples must be >= 1")
         if self.noise_var_low <= 0 or self.noise_var_high < self.noise_var_low:
             errs.append("noise variance range must be positive and ordered")
+        if self.replications < 1:
+            errs.append("replications must be >= 1")
+        # the physical settings: the scenario draw and mec's functions rely on them
+        bad_choices = [
+            name
+            for name in ("cpu_freq_choices", "cycles_per_bit_choices", "subtask_bits_choices")
+            if not getattr(self, name) or not all(0.0 < c < math.inf for c in getattr(self, name))
+        ]
+        errs += [f"{name} must be non-empty, each entry finite and > 0" for name in bad_choices]
+        try:
+            noise_power = mec.dbm_to_watts(self.noise_density_dbm) * self.bandwidth
+        except OverflowError:
+            noise_power = math.inf
+        if not 0.0 < self.bandwidth < math.inf:
+            errs.append("bandwidth must be finite and > 0")
+        elif not 0.0 < noise_power < math.inf:
+            errs.append("noise power (noise density times bandwidth) must be finite and > 0 W")
+        if not 0.0 < self.server_freq < math.inf:
+            errs.append("server_freq must be finite and > 0")
+        elif "cpu_freq_choices" not in bad_choices:
+            # capacities live in int64 arrays and meet products with task sizes
+            for cpu_freq in self.cpu_freq_choices:
+                try:
+                    if mec.offload_capacity(cpu_freq, self.server_freq) >= 2**31:
+                        errs.append(f"cpu_freq {cpu_freq} gives a capacity of 2**31 or more")
+                except ValueError as exc:  # capacity below 1
+                    errs.append(str(exc))
+        if not 0.0 < self.ref_distance <= self.distance_low <= self.distance_high < math.inf:
+            errs.append("distances must satisfy 0 < ref_distance <= distance_low <= distance_high, all finite")
+        if not -math.inf < self.tx_power_low_dbm <= self.tx_power_high_dbm < math.inf:
+            errs.append("transmit power range must be finite and ordered")
         return errs
 
     def validate(self) -> None:
@@ -206,7 +239,8 @@ def parse_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` config file into an override dict.
 
     Blank lines and ``#`` comments are ignored.  Tuple-valued keys take
-    comma- or space-separated numbers.
+    comma- or space-separated numbers.  An unknown key or a value that does
+    not parse as the key's type raises ConfigError naming ``path:line``.
     """
     overrides: dict = {}
     text = Path(path).read_text(encoding="utf-8")
@@ -218,7 +252,10 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        overrides[key] = _parse_value(key, raw)
+        try:
+            overrides[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     return overrides
 
 

@@ -114,22 +114,22 @@ def _stream(master_seed: int, seed: int, *key: int) -> np.random.Generator:
 
 
 def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
-    """Draw the users of one run and validate the whole configuration.
+    """Draw the users of one run into read-only per-user arrays.
 
-    Every validation failure is collected so the error lists all problems
-    at once, before any slot executes.  An invalid channel environment
-    ends the checks there, because the per-user checks compute with it.
-    Under channel truth every valid user's transmit time at unit fading
-    must fit in the slot.
+    The config's own checks, the physical settings among them, raise a
+    ConfigError listing every problem before anything is drawn.  Under
+    channel truth each drawn user's transmit time at unit fading must then
+    fit in the slot; that check depends on the draw, and its ConfigError
+    lists every user that fails it.
 
     The users read only the fields of the timeline's key, so the last
-    scenario that validated is kept, with read-only arrays, and returned
-    again for a config with the same key once the config's own checks,
-    which cover the policy-side fields too, pass.
+    scenario that passed is kept and returned again for a config with the
+    same key once the config's checks, which cover the policy-side fields
+    too, pass.
     """
-    errors = cfg.validation_errors()
+    cfg.validate()
     key = _timeline_key(cfg, seed)
-    if not errors and key in _last_drawn:
+    if key in _last_drawn:
         return _last_drawn[key].scenario
     rng = _stream(cfg.master_seed, seed, 0)
     env = mec.ChannelEnvironment(
@@ -139,48 +139,35 @@ def build_scenario(cfg: SimConfig, seed: int) -> Scenario:
         noise_density=mec.dbm_to_watts(cfg.noise_density_dbm),
         server_freq=cfg.server_freq,
     )
-    try:
-        env.validate()
-    except ValueError as exc:
-        raise ConfigError("; ".join([*errors, str(exc)])) from exc
-
     n = cfg.num_users
-    capacities = np.zeros(n, dtype=np.int64)
-    e_locals, noise_vars, path_ratios, tx_powers, subtask_bits = np.zeros((5, n))
+    cpu, cycles, bits = np.zeros((3, n), dtype=np.int64)  # indices into the choice tuples
+    noise_vars, path_ratios, tx_powers = np.zeros((3, n))
+    # Python floats per user: numpy's vectorised pow can differ in the last bit
     for i in range(n):
         distance = rng.uniform(cfg.distance_low, cfg.distance_high)
-        tx_dbm = rng.uniform(cfg.tx_power_low_dbm, cfg.tx_power_high_dbm)
-        cpu = cfg.cpu_freq_choices[rng.integers(len(cfg.cpu_freq_choices))]
-        cycles = cfg.cycles_per_bit_choices[rng.integers(len(cfg.cycles_per_bit_choices))]
-        bits = cfg.subtask_bits_choices[rng.integers(len(cfg.subtask_bits_choices))]
+        tx_powers[i] = mec.dbm_to_watts(rng.uniform(cfg.tx_power_low_dbm, cfg.tx_power_high_dbm))
+        cpu[i] = rng.integers(len(cfg.cpu_freq_choices))
+        cycles[i] = rng.integers(len(cfg.cycles_per_bit_choices))
+        bits[i] = rng.integers(len(cfg.subtask_bits_choices))
         noise_vars[i] = rng.uniform(cfg.noise_var_low, cfg.noise_var_high)
-        profile = mec.UserProfile(
-            user_id=i,
-            cpu_freq=cpu,
-            cycles_per_bit=cycles,
-            subtask_bits=bits,
-            tx_power=mec.dbm_to_watts(tx_dbm),
-            bandwidth=cfg.bandwidth,
-            distance=distance,
-            power_coeff=cfg.power_coeff,
-        )
-        try:
-            profile.validate(ref_distance=cfg.ref_distance)
-            capacities[i] = mec.offload_capacity(profile, env)
-        except ValueError as exc:
-            errors.append(str(exc))
-            continue
-        e_locals[i] = mec.local_energy_per_subtask(profile, cfg.energy_model)
         path_ratios[i] = (env.ref_distance / distance) ** env.pathloss_exp
-        tx_powers[i] = profile.tx_power
-        subtask_bits[i] = bits
+    cap_table = [mec.offload_capacity(f, cfg.server_freq) for f in cfg.cpu_freq_choices]
+    capacities = np.array(cap_table, dtype=np.int64)[cpu]
+    subtask_bits = np.array(cfg.subtask_bits_choices, dtype=np.float64)[bits]
+    e_locals = mec.local_energy_per_subtask(
+        cfg.power_coeff,
+        np.array(cfg.cpu_freq_choices, dtype=np.float64)[cpu],
+        np.array(cfg.cycles_per_bit_choices, dtype=np.float64)[cycles],
+        subtask_bits,
+        cfg.energy_model,
+    )
     for arr in (capacities, e_locals, noise_vars, path_ratios, tx_powers, subtask_bits):
         arr.flags.writeable = False
     scn = Scenario(env, capacities, e_locals, noise_vars, path_ratios, tx_powers, subtask_bits)
     if cfg.energy_truth == "channel":
-        errors += _unit_fading_errors(cfg, scn, np.flatnonzero(capacities))  # the valid users
-    if errors:
-        raise ConfigError("; ".join(errors))
+        errors = _unit_fading_errors(cfg, scn, np.arange(n))
+        if errors:
+            raise ConfigError("; ".join(errors))
     _last_drawn.clear()
     _last_drawn[key] = _Drawn(scn)
     return scn

@@ -1,9 +1,10 @@
 """Static physical model: per-user energy, channel, rate, and offload capacity.
 
 All functions are pure and operate in SI units (watts, hertz, joules,
-meters, seconds).  dBm / dB inputs are converted once at configuration
-load via :func:`dbm_to_watts` / :func:`db_to_linear`; nothing below this
-layer sees logarithmic units.
+meters, seconds).  dBm / dB inputs are converted where the scenario is
+drawn, via :func:`dbm_to_watts` / :func:`db_to_linear`; nothing below this
+layer sees logarithmic units.  The functions assume settings that
+``SimConfig`` validation has accepted.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ class UserProfile:
     """Static per-user physical parameters.
 
     Frequencies in Hz, power in watts, distance in meters.  ``power_coeff``
-    is the chip-architecture energy coefficient of the local CPU.  The task
-    arrival probability is not per user: it is ``SimConfig.arrival_prob``,
-    checked once there.
+    is the chip-architecture energy coefficient of the local CPU.  The
+    harness keeps the drawn users as arrays; a profile is one user's row
+    for the scalar functions below.
     """
 
     user_id: int
@@ -55,28 +56,6 @@ class UserProfile:
     bandwidth: float
     distance: float
     power_coeff: float
-
-    def validate(self, ref_distance: float = 0.0) -> None:
-        """Raise ValueError on physically invalid parameters.
-
-        Called at configuration load; the computational functions below
-        assume a validated profile.
-        """
-        if self.cpu_freq <= 0:
-            raise ValueError(f"user {self.user_id}: cpu_freq must be > 0")
-        if self.bandwidth <= 0:
-            raise ValueError(f"user {self.user_id}: bandwidth must be > 0")
-        if self.subtask_bits <= 0:
-            raise ValueError(f"user {self.user_id}: subtask_bits must be > 0")
-        if self.cycles_per_bit <= 0:
-            raise ValueError(f"user {self.user_id}: cycles_per_bit must be > 0")
-        if self.tx_power < 0:
-            raise ValueError(f"user {self.user_id}: tx_power must be >= 0")
-        if self.distance < ref_distance:
-            raise ValueError(
-                f"user {self.user_id}: distance {self.distance} below "
-                f"reference distance {ref_distance}"
-            )
 
 
 @dataclass(frozen=True)
@@ -94,14 +73,6 @@ class ChannelEnvironment:
     noise_density: float
     server_freq: float
 
-    def validate(self) -> None:
-        if self.noise_density <= 0:
-            raise ValueError("noise_density must be > 0")
-        if self.ref_distance <= 0:
-            raise ValueError("ref_distance must be > 0")
-        if self.server_freq <= 0:
-            raise ValueError("server_freq must be > 0")
-
 
 class OffloadEnergy(NamedTuple):
     """Uplink energy cost plus the transmit time used for slot validation."""
@@ -110,39 +81,32 @@ class OffloadEnergy(NamedTuple):
     tx_time: float
 
 
-def local_energy_per_subtask(profile: UserProfile, model: str = "eq1") -> float:
-    """Energy to process one subtask locally.
+def local_energy_per_subtask(power_coeff, cpu_freq, cycles_per_bit, subtask_bits, model: str):
+    """Energy to process one subtask locally, for numbers or elementwise
+    for arrays.
 
     ``model="eq1"`` uses coeff * freq * cycles_per_bit * bits; ``"quadratic"``
     squares the CPU frequency (the dynamic-power form coeff * freq^2 for the
     cycles_per_bit * bits / freq execution cycles).
     """
     if model == "eq1":
-        return profile.power_coeff * profile.cpu_freq * profile.cycles_per_bit * profile.subtask_bits
+        return power_coeff * cpu_freq * cycles_per_bit * subtask_bits
     if model == "quadratic":
-        return (
-            profile.power_coeff
-            * profile.cpu_freq**2
-            * profile.cycles_per_bit
-            * profile.subtask_bits
-        )
+        return power_coeff * cpu_freq**2 * cycles_per_bit * subtask_bits
     raise ValueError(f"unknown energy model {model!r}")
 
 
-def offload_capacity(profile: UserProfile, env: ChannelEnvironment) -> int:
+def offload_capacity(cpu_freq: float, server_freq: float) -> int:
     """Subtasks the server completes per slot: floor(server_freq / cpu_freq).
 
     Computed with exact rational arithmetic on the Hz values so that e.g.
     2 GHz / 0.4 GHz is exactly 5 (float division would give 4.999...).
     """
-    if profile.cpu_freq <= 0:
+    if cpu_freq <= 0:
         raise ValueError("cpu_freq must be > 0")
-    k = int(Fraction(env.server_freq) / Fraction(profile.cpu_freq))
+    k = int(Fraction(server_freq) / Fraction(cpu_freq))
     if k < 1:
-        raise ValueError(
-            f"user {profile.user_id}: cpu_freq {profile.cpu_freq} exceeds "
-            f"server_freq {env.server_freq}; offloading cannot help"
-        )
+        raise ValueError(f"cpu_freq {cpu_freq} exceeds server_freq {server_freq}; offloading cannot help")
     return k
 
 

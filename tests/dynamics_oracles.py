@@ -233,11 +233,14 @@ def channel_saving(
     cfg: SimConfig, env: mec.ChannelEnvironment, profile: mec.UserProfile, fading: float
 ) -> float:
     """The user's saving for one offload at the given fading, through mec's scalar chain."""
-    capacity = mec.offload_capacity(profile, env)
+    capacity = mec.offload_capacity(profile.cpu_freq, env.server_freq)
     gain = mec.channel_gain(env, profile.distance, fading)
     rate = mec.transmission_rate(profile, gain, env)
     e_off = mec.offload_energy(profile, rate, capacity).energy
-    return mec.energy_saving(mec.local_energy_per_subtask(profile, cfg.energy_model), e_off, capacity)
+    e_local = mec.local_energy_per_subtask(
+        profile.power_coeff, profile.cpu_freq, profile.cycles_per_bit, profile.subtask_bits, cfg.energy_model
+    )
+    return mec.energy_saving(e_local, e_off, capacity)
 
 
 def draw_saving(

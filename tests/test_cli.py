@@ -90,6 +90,49 @@ def test_simulate_preset_invalid_setting_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("distance_low = 300\ndistance_high = 100\n", "ref_distance <= distance_low <= distance_high"),
+        ("cpu_freq_choices =\n", "cpu_freq_choices must be non-empty"),
+        ("cycles_per_bit_choices = 1e5, -2e5\n", "cycles_per_bit_choices must be non-empty"),
+        ("bandwidth = 0\n", "bandwidth must be finite and > 0"),
+        ("ref_distance = 200\n", "ref_distance <= distance_low"),
+        ("server_freq = 5e8\n", "cpu_freq 600000000.0 exceeds server_freq 500000000.0"),
+        ("cpu_freq_choices = 1e-3\n", "cpu_freq 0.001 gives a capacity of 2**31 or more"),
+        ("tx_power_low_dbm = 30\n", "transmit power range"),
+        ("noise_density_dbm = -4000\n", "noise power (noise density times bandwidth) must be finite and > 0 W"),
+        ("noise_density_dbm = 4000\n", "noise power (noise density times bandwidth) must be finite and > 0 W"),
+        ("replications = 0\n", "replications must be >= 1"),
+    ],
+    ids=["distance-reversed", "cpu-empty", "cycles-negative", "bandwidth", "ref-distance", "server-freq",
+         "capacity-too-large", "tx-power-reversed", "noise-underflow", "noise-overflow", "replications"],
+)
+def test_simulate_config_only_fault_exits_2(tmp_path, capsys, text, message):
+    # rejected once, as configuration, before any user is drawn
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "num_users = 8\nnum_servers = 3\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count(message) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [("num_users = 1.5\n", ":2: num_users:"), ("cpu_freq_choices = 1e9, fast\n", ":2: cpu_freq_choices:")],
+    ids=["int", "tuple"],
+)
+def test_simulate_malformed_value_exits_2(tmp_path, capsys, text, where):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\n" + text)
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(cfg), "--seeds", "1", "--out", str(out)]) == 2
+    assert f"configuration error: {cfg}{where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_index_grid(tmp_path):
     out = tmp_path / "grid.csv"
     code = main(
@@ -123,11 +166,14 @@ def test_check_indexability(capsys):
     assert "5/5 configurations indexable" in out
 
 
-def test_preset_choices_are_the_presets(tmp_path):
-    # zero seeds parse and build each preset's cells without running any
+def test_preset_choices_are_the_presets(tmp_path, capsys):
+    # each preset's cells build and validate; zero seeds is then the only
+    # configuration error, so no episode runs
     out = tmp_path / "records.csv"
     for name in PRESETS:
-        assert main(["simulate", "--preset", name, "--seeds", "0", "--out", str(out)]) == 0
+        assert main(["simulate", "--preset", name, "--seeds", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: --seeds must be >= 1\n"
+    assert not out.exists()
     with pytest.raises(SystemExit) as exit_info:
         main(["simulate", "--preset", "fig9", "--seeds", "0", "--out", str(out)])
     assert exit_info.value.code == 2

@@ -6,6 +6,7 @@ CSV round-trips."""
 
 import dataclasses
 import hashlib
+import re
 import tempfile
 from pathlib import Path
 
@@ -116,8 +117,11 @@ class TestScenario:
         scn = build_scenario(c, seed)
         profiles, noise_vars = draw_profiles(c, seed)
         expected = {
-            "capacities": [mec.offload_capacity(p, scn.env) for p in profiles],
-            "e_locals": [mec.local_energy_per_subtask(p, c.energy_model) for p in profiles],
+            "capacities": [mec.offload_capacity(p.cpu_freq, scn.env.server_freq) for p in profiles],
+            "e_locals": [
+                mec.local_energy_per_subtask(p.power_coeff, p.cpu_freq, p.cycles_per_bit, p.subtask_bits, c.energy_model)
+                for p in profiles
+            ],
             "noise_vars": noise_vars,
             "tx_powers": [p.tx_power for p in profiles],
             "subtask_bits": [p.subtask_bits for p in profiles],
@@ -226,6 +230,45 @@ class TestScenario:
         with pytest.raises(ConfigError) as err:
             build_scenario(c, 0)
         assert str(err.value) == "; ".join(f"user {i}: zero-rate channel at unit fading" for i in range(3))
+
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "ref_distance": st.floats(-50.0, 400.0),
+                "distance_low": st.floats(-50.0, 400.0),
+                "distance_high": st.floats(-50.0, 400.0),
+                "cpu_freq_choices": st.lists(st.floats(-1e9, 3e9), max_size=3).map(tuple),
+                "cycles_per_bit_choices": st.lists(st.floats(-1e5, 5e5), max_size=3).map(tuple),
+                "subtask_bits_choices": st.lists(st.floats(-100.0, 200.0), max_size=3).map(tuple),
+                "bandwidth": st.floats(-1e6, 2e6),
+                "server_freq": st.floats(-1e9, 2e9),
+                "tx_power_low_dbm": st.floats(-30.0, 30.0),
+                "tx_power_high_dbm": st.floats(-30.0, 30.0),
+            },
+        )
+    )
+    @example({"distance_low": 300.0, "distance_high": 100.0})
+    @example({"cpu_freq_choices": ()})
+    @example({"bandwidth": 0.0})
+    @example({"ref_distance": 200.0})
+    @settings(max_examples=150, deadline=None)
+    def test_physical_settings_fail_as_config_errors(self, overrides):
+        # a config-only fault is reported once, as the config's own error;
+        # with none, only the drawn users' unit-fading check may fail
+        c = cfg(num_users=4, num_servers=1, **overrides)
+        errors = c.validation_errors()
+        try:
+            scn = build_scenario(c, 0)
+        except ConfigError as exc:
+            if errors:
+                assert str(exc) == "; ".join(errors)
+            else:
+                for msg in str(exc).split("; "):
+                    assert re.fullmatch(r"user \d: (nominal transmit time .*|zero-rate channel at unit fading)", msg)
+        else:
+            assert errors == []
+            assert scn.capacities.min() >= 1
 
     def test_zero_rate_offload_raises(self):
         # the timeline and the bound both compute their savings through _offload
@@ -820,7 +863,13 @@ class TestTimeline:
         def no_draw(*args):
             raise AssertionError("the profiles were drawn again")
 
-        monkeypatch.setattr(harness.mec, "offload_capacity", no_draw)
+        stream = harness._stream
+
+        def no_scenario_stream(master_seed, seed, *key):
+            # key (0,) is the scenario stream, which only the profile draw opens
+            return no_draw() if key == (0,) else stream(master_seed, seed, *key)
+
+        monkeypatch.setattr(harness, "_stream", no_scenario_stream)
         monkeypatch.setattr(harness, "_draw_timeline", no_draw)
         assert build_scenario(dataclasses.replace(c, policy="edf", penalty_alpha=2.0), 5) is scn
         for m, record in cold.items():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgebandit.config import SimConfig
 from edgebandit.mec import (
     ChannelEnvironment,
     UserProfile,
@@ -64,43 +65,45 @@ class TestConversions:
         assert db_to_linear(0.0) == 1.0
 
 
+def local_energy(p: UserProfile, model: str) -> float:
+    return local_energy_per_subtask(p.power_coeff, p.cpu_freq, p.cycles_per_bit, p.subtask_bits, model)
+
+
 class TestLocalEnergy:
     def test_reference_point(self):
         p = profile(power_coeff=1e-28, cpu_freq=1e9, cycles_per_bit=1e5, subtask_bits=100)
-        assert local_energy_per_subtask(p) == pytest.approx(1e-12, rel=1e-12)
+        assert local_energy(p, "eq1") == pytest.approx(1e-12, rel=1e-12)
 
     def test_zero_workload(self):
-        assert local_energy_per_subtask(profile(subtask_bits=0)) == 0.0
+        assert local_energy(profile(subtask_bits=0), "eq1") == 0.0
 
     def test_second_point(self):
         p = profile(power_coeff=1e-28, cpu_freq=2e8, cycles_per_bit=2e5, subtask_bits=150)
-        assert local_energy_per_subtask(p) == pytest.approx(6e-13, rel=1e-12)
+        assert local_energy(p, "eq1") == pytest.approx(6e-13, rel=1e-12)
 
     def test_quadratic_variant_scales_by_frequency(self):
         p = profile(cpu_freq=2e8)
-        assert local_energy_per_subtask(p, "quadratic") == pytest.approx(
-            local_energy_per_subtask(p, "eq1") * 2e8, rel=1e-12
-        )
+        assert local_energy(p, "quadratic") == pytest.approx(local_energy(p, "eq1") * 2e8, rel=1e-12)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
-            local_energy_per_subtask(profile(), "cubic")
+            local_energy(profile(), "cubic")
 
 
 class TestOffloadCapacity:
     def test_exact_division(self):
-        assert offload_capacity(profile(cpu_freq=1e9), env(server_freq=2e9)) == 2
+        assert offload_capacity(1e9, 2e9) == 2
 
     def test_float_pitfall(self):
         # 2e9 / 0.4e9 in floats is 4.999...; the exact rational answer is 5
-        assert offload_capacity(profile(cpu_freq=0.4e9), env(server_freq=2e9)) == 5
+        assert offload_capacity(0.4e9, 2e9) == 5
 
     def test_rational_floor(self):
-        assert offload_capacity(profile(cpu_freq=0.3e9), env(server_freq=2e9)) == 6
+        assert offload_capacity(0.3e9, 2e9) == 6
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            offload_capacity(profile(cpu_freq=3e9), env(server_freq=2e9))
+            offload_capacity(3e9, 2e9)
 
     @given(st.integers(1, 40), st.integers(1, 40))
     def test_floor_bounds(self, us, ui):
@@ -108,7 +111,7 @@ class TestOffloadCapacity:
         us_hz, ui_hz = us * 1e8, ui * 1e8
         if us_hz < ui_hz:
             return
-        k = offload_capacity(profile(cpu_freq=ui_hz), env(server_freq=us_hz))
+        k = offload_capacity(ui_hz, us_hz)
         assert k * ui >= 1 and k * ui <= us < (k + 1) * ui
 
 
@@ -204,11 +207,13 @@ class TestEnergyFigures:
 
 
 class TestProfileValidation:
+    """A user's physical settings are checked once, in SimConfig."""
+
     def test_valid_profile_passes(self):
-        profile().validate(ref_distance=1.0)
+        SimConfig().validate()
 
     def test_bad_fields_listed(self):
-        with pytest.raises(ValueError):
-            profile(cpu_freq=0.0).validate()
-        with pytest.raises(ValueError):
-            profile(distance=0.5).validate(ref_distance=1.0)
+        with pytest.raises(ValueError, match="cpu_freq_choices"):
+            SimConfig(cpu_freq_choices=(0.0,)).validate()
+        with pytest.raises(ValueError, match="ref_distance <= distance_low"):
+            SimConfig(ref_distance=1.0, distance_low=0.5).validate()
